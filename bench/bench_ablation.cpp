@@ -192,7 +192,6 @@ enum class PolicyVariant { kStatic, kSloThrottle, kQuietPause };
 // fleets keep an open loop of 10,400 req/s on the service.
 PolicyRunMetrics run_policy_episode(PolicyVariant variant) {
   core::TestbedConfig config;
-  config.fluid_shards = 2;
   core::Testbed testbed(config);
 
   workloads::KvServiceConfig svc;

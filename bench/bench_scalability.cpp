@@ -651,11 +651,6 @@ ServiceSloResult run_service_slo(int workers) {
   // its clients keep hammering it.
   core::TestbedConfig config;
   config.solve_workers = workers;
-  // Second (empty) shard: force the SolvePool on even at 0 workers so the
-  // sweep compares the pool's settle schedule against itself and measures
-  // parallelism alone (the legacy zero-delay path is a different — equally
-  // deterministic — same-instant event order; see DESIGN.md §10).
-  config.fluid_shards = 2;
   core::Testbed testbed(config);
 
   workloads::KvServiceConfig svc;

@@ -47,13 +47,6 @@ struct RunResult {
 RunResult run_once(int workers, bool slo_throttle = false) {
   core::TestbedConfig config;
   config.solve_workers = workers;
-  // A second (empty) shard forces the SolvePool on even at 0 workers, so
-  // every run uses the pool's end-of-instant settle schedule. The legacy
-  // zero-delay settle path is equally deterministic but orders
-  // same-nanosecond completion vs. arrival events differently, which is a
-  // settle-schedule axis, not a parallelism one — this gate isolates the
-  // latter (see DESIGN.md §10).
-  config.fluid_shards = 2;
   core::Testbed testbed(config);
 
   workloads::KvServiceConfig svc;

@@ -56,12 +56,10 @@ struct TestbedConfig {
   /// cross-domain flow solved by the boundary exchange (DESIGN.md §6).
   bool blade_domains = false;
   /// Worker threads in the FluidNet's SolvePool, which settles dirty fluid
-  /// domains in parallel at the end of each simulated instant. 0 (default)
-  /// creates no threads; the pool itself exists only when workers > 0 or a
-  /// second domain is added (boundary flows need its exchange loop), so a
-  /// default testbed keeps the legacy zero-delay settle path exactly. Any
-  /// worker count yields the same event timeline — the pool commits in
-  /// canonical (domain, component) order (sim_sharding_test pins this).
+  /// domains at the end of each simulated instant. 0 (default) creates no
+  /// threads: the simulation thread solves every batch itself. Any worker
+  /// count yields the same event timeline — the pool commits in canonical
+  /// (domain, component) order (sim_sharding_test pins this).
   int solve_workers = 0;
   std::uint64_t seed = 1;
 
@@ -100,8 +98,7 @@ class Testbed {
   }
   [[nodiscard]] std::size_t domain_count() const { return net_->domain_count(); }
   [[nodiscard]] sim::FluidDomain& domain(std::size_t i) { return net_->domain(i); }
-  /// The parallel settle pool; nullptr for a single-domain, zero-worker
-  /// testbed (which settles via the legacy zero-delay path).
+  /// The settle pool every fluid domain settles through. Never null.
   [[nodiscard]] sim::SolvePool* solve_pool() { return net_->pool(); }
   [[nodiscard]] net::IbFabric& ib_fabric() { return *ib_fabric_; }
   [[nodiscard]] net::EthFabric& eth_fabric() { return *eth_fabric_; }

@@ -131,6 +131,9 @@ FluidScheduler::~FluidScheduler() {
   if (pool_ != nullptr) {
     pool_->detach(*this);
   }
+  if (settle_hook_ != 0) {
+    sim_->remove_settle_hook(settle_hook_);
+  }
   for (auto* res : res_slots_) {
     if (res != nullptr) {
       // Fold the pending constant-rate window into the prefix while the
@@ -323,26 +326,30 @@ void FluidScheduler::mark_dirty(Component& comp) {
     comp.dirty = true;
     dirty_comps_.push_back(comp.id);
   }
+  // Re-solve at the end of the current instant, before any simulated time
+  // passes: rates are continuous in time, so deferring is exact and batches
+  // every mutation made at this instant into one solve. An attached pool
+  // batches the marks of all its domains into one (parallel) settle.
   if (pool_ != nullptr) {
-    // Pool mode: no zero-delay post — the kernel's settle hook fires the
-    // pool at the end of the current instant, batching marks from every
-    // attached domain into one parallel solve.
     pool_->notify_dirty(*this);
     return;
   }
-  if (!settle_pending_) {
-    // Re-solve before any simulated time passes: rates are continuous in
-    // time, so deferring to the end of the current instant is exact and
-    // batches all mutations made at this instant into one solve.
-    settle_pending_ = true;
-    sim_->post(Duration::zero(), [this] {
-      settle_pending_ = false;
-      settle_dirty();
-    });
+  if (settle_hook_ == 0) {
+    settle_hook_ = sim_->add_settle_hook([this] { settle_dirty(); });
   }
+  sim_->request_settle();
 }
 
 void FluidScheduler::settle_dirty() {
+  if (dirty_comps_.empty()) {
+    return;  // another model requested this settle
+  }
+  // Ascending component id: the SolvePool's canonical order, so a bare
+  // scheduler and a one-domain pool post their timers and completions
+  // identically. Marks usually arrive ascending already.
+  if (!std::is_sorted(dirty_comps_.begin(), dirty_comps_.end())) {
+    std::sort(dirty_comps_.begin(), dirty_comps_.end());
+  }
   for (std::size_t i = 0; i < dirty_comps_.size(); ++i) {
     const auto id = dirty_comps_[i];
     auto* comp = id < comps_.size() ? comps_[id].get() : nullptr;
@@ -1123,15 +1130,10 @@ void FluidScheduler::on_timer(std::uint64_t key) {
   if (comp == nullptr || comp->gen != gen) {
     return;  // superseded by a later solve, merge, or rebuild
   }
-  if (pool_ != nullptr) {
-    // Pool mode: completion timers mark instead of solving inline, so every
-    // timer firing at this instant — across all attached domains — lands in
-    // one parallel settle (the pool also drives maybe_rebuild afterwards).
-    mark_dirty(*comp);
-    return;
-  }
-  solve_component(*comp);
-  maybe_rebuild();
+  // Mark instead of solving inline, so every timer firing at this instant
+  // lands in the one end-of-instant settle (which also drives
+  // maybe_rebuild afterwards).
+  mark_dirty(*comp);
 }
 
 // --- FluidScheduler: epoch rebuild -----------------------------------------
@@ -1143,7 +1145,7 @@ void FluidScheduler::maybe_rebuild() {
   if (retired_since_rebuild_ <= 64 || retired_since_rebuild_ <= flows_.size()) {
     return;
   }
-  if (settle_pending_ || !dirty_comps_.empty()) {
+  if (!dirty_comps_.empty()) {
     return;  // solve the pending mutations first; rebuild on a later event
   }
   rebuild_components();

@@ -312,15 +312,6 @@ class FluidScheduler : public FlowRouter {
   FlowPtr start(FlowSpec spec) override;
   using FlowRouter::run;
 
-  // Compile-time guard: the legacy start/run(work, shares-or-resources,
-  // max_rate) shims served their one-PR deprecation window and were removed.
-  // Any resurrected call site trips these deleted overloads instead of
-  // silently re-growing the old surface — build the FlowSpec instead.
-  template <typename... Args>
-  FlowPtr start(double, Args&&...) = delete;
-  template <typename... Args>
-  Task run(double, Args&&...) = delete;
-
   [[nodiscard]] std::size_t active_flow_count() const { return flows_.size(); }
   /// Number of connected flow/resource components currently tracked.
   [[nodiscard]] std::size_t component_count() const;
@@ -452,7 +443,8 @@ class FluidScheduler : public FlowRouter {
   /// Merges `src` into `dst` (flows, resources, dirtiness) and retires it.
   void merge_into(Component& dst, Component& src);
   void mark_dirty(Component& comp);
-  /// Solves every dirty component, then considers a component rebuild.
+  /// The unattached scheduler's settle hook: solves every dirty component
+  /// in ascending id order, then considers a component rebuild.
   void settle_dirty();
   /// Brings one flow's component up to date (getter entry point).
   void ensure_settled(const Flow& flow);
@@ -526,19 +518,20 @@ class FluidScheduler : public FlowRouter {
   std::vector<std::uint32_t> free_comp_ids_;
   std::size_t live_comp_count_ = 0;
 
-  // Deferred settling: mutations mark components dirty and a zero-delay
-  // callback re-solves them before any simulated time passes. When a
-  // SolvePool is attached, the pool's kernel settle hook takes over: marks
-  // notify the pool instead of posting, and dirty components are solved in
-  // parallel at the end of the instant.
+  // Deferred settling: mutations and completion timers mark components
+  // dirty and arm the kernel's end-of-instant settle hook, so every
+  // component dirtied at one simulated instant is re-solved once, in
+  // ascending component id, before the clock advances. An attached
+  // SolvePool owns that hook (batching all its domains into one settle);
+  // an unattached scheduler registers its own on the first mark.
   std::vector<std::uint32_t> dirty_comps_;
-  bool settle_pending_ = false;
+  std::uint64_t settle_hook_ = 0;  // own hook id; 0 when none is registered
   SolvePool* pool_ = nullptr;
   bool pool_dirty_ = false;       // this scheduler has unsettled components
   std::uint32_t pool_domain_ = 0;  // attach order = canonical domain id
 
   // Solve scratch/result for the serial path (ensure_settled, rebalance,
-  // and every solve when no pool is attached).
+  // and settle_dirty when no pool is attached).
   SolveScratch serial_scratch_;
   SolveResult serial_result_;
 

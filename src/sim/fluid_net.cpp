@@ -40,39 +40,15 @@ bool moved(double a, double b) {
 bool cap_slack(double rate, double cap) { return cap > rate * (1.0 + 1e-9); }
 }  // namespace
 
-FluidNet::FluidNet(Simulation& sim, int workers) : sim_(&sim), workers_(workers) {
-  NM_CHECK(workers >= 0, "negative FluidNet worker count");
-  if (workers_ > 0) {
-    ensure_pool();
-  }
-}
-
-FluidNet::~FluidNet() {
-  if (pool_ != nullptr) {
-    pool_->set_exchange(nullptr);
-  }
+FluidNet::FluidNet(Simulation& sim, int workers)
+    : sim_(&sim), pool_(std::make_unique<SolvePool>(sim, workers)) {
+  pool_->set_exchange(this);
 }
 
 FluidDomain& FluidNet::add_domain(std::string name) {
   domains_.push_back(std::make_unique<FluidDomain>(*sim_, std::move(name)));
-  auto& dom = *domains_.back();
-  if (pool_ == nullptr && domains_.size() > 1) {
-    // Second domain: boundary flows become possible, so settling must go
-    // through the pool (it owns the exchange loop). ensure_pool attaches
-    // every domain added so far, this one included.
-    ensure_pool();
-  } else if (pool_ != nullptr) {
-    pool_->attach(dom.scheduler());
-  }
-  return dom;
-}
-
-void FluidNet::ensure_pool() {
-  pool_ = std::make_unique<SolvePool>(*sim_, workers_);
-  pool_->set_exchange(this);
-  for (auto& dom : domains_) {
-    pool_->attach(dom->scheduler());
-  }
+  pool_->attach(domains_.back()->scheduler());
+  return *domains_.back();
 }
 
 FluidDomain& FluidNet::domain(std::size_t index) {
@@ -122,7 +98,6 @@ FlowPtr FluidNet::start(FlowSpec spec) {
   // Boundary flow: the home flow carries the work and the home-domain
   // shares; each foreign domain gets a ghost flow over its share subset,
   // capped at the published home rate (0 until the first exchange).
-  NM_CHECK(pool_ != nullptr, "cross-domain flow without a SolvePool");
   std::vector<ResourceShare> home_shares;
   std::vector<std::pair<FluidScheduler*, std::vector<ResourceShare>>> foreign;
   for (const auto& share : spec.shares) {

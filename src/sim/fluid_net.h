@@ -31,12 +31,10 @@ namespace nm::sim {
 
 class FluidNet final : public FlowRouter, private SettleExchange {
  public:
-  /// A net over `sim` whose SolvePool (created lazily: only when `workers`
-  /// > 0 or a second domain is added) runs `workers` compute threads. A
-  /// single-domain net with no workers never creates a pool, so it keeps
-  /// the legacy zero-delay settle path exactly.
+  /// A net over `sim` whose SolvePool runs `workers` compute threads (0:
+  /// the simulation thread solves every batch itself). Every domain settles
+  /// through that pool, whatever the domain and worker counts.
   explicit FluidNet(Simulation& sim, int workers = 0);
-  ~FluidNet() override;
   FluidNet(const FluidNet&) = delete;
   FluidNet& operator=(const FluidNet&) = delete;
 
@@ -58,25 +56,25 @@ class FluidNet final : public FlowRouter, private SettleExchange {
   /// ghost flows mirror its consumption into the foreign domains.
   FlowPtr start(FlowSpec spec) override;
 
-  /// The pool driving parallel solves and the boundary exchange; nullptr
-  /// for a single-domain, zero-worker net.
+  /// The pool driving every settle, parallel solves and the boundary
+  /// exchange. Never null.
   [[nodiscard]] SolvePool* pool() { return pool_.get(); }
 
   [[nodiscard]] std::size_t boundary_flow_count() const { return boundary_.size(); }
   [[nodiscard]] std::size_t exchange_round_count() const {
-    return pool_ != nullptr ? pool_->exchange_round_count() : 0;
+    return pool_->exchange_round_count();
   }
   [[nodiscard]] std::size_t unconverged_exchange_count() const {
-    return pool_ != nullptr ? pool_->unconverged_exchange_count() : 0;
+    return pool_->unconverged_exchange_count();
   }
   /// Exchange rounds the most recent coupled settle needed, and the worst
   /// any settle has needed — the regression gate for the round-cap safety
   /// valve (a healthy scenario stays far below SolvePool's cap).
   [[nodiscard]] std::size_t last_settle_exchange_rounds() const {
-    return pool_ != nullptr ? pool_->last_settle_exchange_rounds() : 0;
+    return pool_->last_settle_exchange_rounds();
   }
   [[nodiscard]] std::size_t max_exchange_rounds_per_settle() const {
-    return pool_ != nullptr ? pool_->max_exchange_rounds_per_settle() : 0;
+    return pool_->max_exchange_rounds_per_settle();
   }
   /// Cap publishes the exchange stored but did not re-solve for, because
   /// the cap stayed slack (non-binding) on both sides of the move. Each
@@ -102,8 +100,6 @@ class FluidNet final : public FlowRouter, private SettleExchange {
   [[nodiscard]] bool active() const override { return !boundary_.empty(); }
   void exchange(std::vector<std::pair<FluidScheduler*, std::uint32_t>>& dirtied) override;
 
-  /// Creates the pool and attaches every existing domain.
-  void ensure_pool();
   /// Serially removes a finished boundary flow's ghost from its foreign
   /// component (preserving flow order) and retires it without firing its
   /// completion event.
@@ -113,7 +109,6 @@ class FluidNet final : public FlowRouter, private SettleExchange {
                    std::vector<std::pair<FluidScheduler*, std::uint32_t>>& dirtied);
 
   Simulation* sim_;
-  int workers_;
   std::vector<std::unique_ptr<FluidDomain>> domains_;
   /// Registration order is the exchange's iteration order (deterministic,
   /// independent of worker count).

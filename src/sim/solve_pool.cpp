@@ -36,8 +36,8 @@ SolvePool::~SolvePool() {
 void SolvePool::attach(FluidScheduler& scheduler) {
   NM_CHECK(scheduler.pool_ == nullptr, "scheduler already attached to a pool");
   NM_CHECK(scheduler.sim_ == sim_, "scheduler runs on a different simulation");
-  NM_CHECK(!scheduler.settle_pending_ && scheduler.dirty_comps_.empty(),
-           "attach the pool before the scheduler has pending settles");
+  NM_CHECK(scheduler.settle_hook_ == 0 && scheduler.dirty_comps_.empty(),
+           "attach the pool before the scheduler settles on its own");
   scheduler.pool_ = this;
   scheduler.pool_dirty_ = false;
   scheduler.pool_domain_ = static_cast<std::uint32_t>(attached_.size());
@@ -49,15 +49,6 @@ void SolvePool::detach(FluidScheduler& scheduler) {
   attached_[scheduler.pool_domain_] = nullptr;
   scheduler.pool_ = nullptr;
   scheduler.pool_dirty_ = false;
-  // Hand any still-unsettled components back to the legacy zero-delay
-  // settle so nothing is stranded mid-instant.
-  if (!scheduler.dirty_comps_.empty() && !scheduler.settle_pending_) {
-    scheduler.settle_pending_ = true;
-    sim_->post(Duration::zero(), [sched = &scheduler] {
-      sched->settle_pending_ = false;
-      sched->settle_dirty();
-    });
-  }
 }
 
 bool SolvePool::any_dirty() const {

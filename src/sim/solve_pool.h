@@ -3,10 +3,10 @@
 // event schedule.
 //
 // How it keeps the timeline bit-identical to the single-threaded run:
-//   1. Dirty marks never post: attached schedulers route mark_dirty (and
-//      completion-timer firings) to the pool, which arms the kernel's
-//      settle hook. The hook runs at the end of the simulated instant, so
-//      every component dirtied at that instant — across all domains — is
+//   1. Attached schedulers route mark_dirty (and completion-timer
+//      firings) to the pool, which arms its kernel settle hook in place of
+//      theirs. The hook runs at the end of the simulated instant, so every
+//      component dirtied at that instant — across all domains — is
 //      collected into one batch.
 //   2. The batch is sorted by (domain id, component id) — a canonical
 //      order independent of mark order and of worker count.
@@ -68,6 +68,8 @@ class SolvePool {
   /// scheduler's canonical domain id. Must happen before the scheduler has
   /// any pending settle (i.e. right after construction).
   void attach(FluidScheduler& scheduler);
+  /// Teardown only: a detached scheduler settles through its own hook
+  /// again from its next dirty mark.
   void detach(FluidScheduler& scheduler);
 
   /// Registers (or clears, with nullptr) the cross-domain exchange driver.

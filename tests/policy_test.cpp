@@ -147,7 +147,6 @@ TEST(PolicyUnit, PolicySetRoutesPerHookAndDescribes) {
 enum class Variant {
   kDefault,        // PolicySet{} (implicit static)
   kStatic,         // explicit StaticPolicy at every hook
-  kLegacyShim,     // deprecated start(vm, dst, delay) signature
   kSloThrottle,    // SloThrottlePolicy at kPreCopyRound
   kQuietPause,     // QuietPausePolicy at kPauseDecision
   kDestSwap,       // DestinationSwapPolicy at kEpisodeStart (+ alternate)
@@ -168,7 +167,6 @@ struct RunOutcome {
 RunOutcome run_scenario(int solve_workers, Variant variant) {
   core::TestbedConfig config;
   config.solve_workers = solve_workers;
-  config.fluid_shards = 2;  // pool on even at 0 workers (see DESIGN.md §10)
   core::Testbed testbed(config);
 
   workloads::KvServiceConfig svc;
@@ -203,45 +201,35 @@ RunOutcome run_scenario(int solve_workers, Variant variant) {
   service.observe_migration(&episode.live());
   service.start();
 
-  if (variant == Variant::kLegacyShim) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    (void)episode.start(vms[0], testbed.eth_host(2), Duration::millis(300));
-#pragma GCC diagnostic pop
-  } else {
-    core::EpisodeSpec spec(vms[0], testbed.eth_host(2));
-    spec.after(Duration::millis(300)).observe(service.observation_source());
-    policy::PolicySet policies;
-    switch (variant) {
-      case Variant::kStatic:
-        policies.use(std::make_shared<policy::StaticPolicy>());
-        break;
-      case Variant::kSloThrottle:
-        policies.use(policy::Hook::kPreCopyRound,
-                     std::make_shared<policy::SloThrottlePolicy>());
-        break;
-      case Variant::kQuietPause:
-        policies.use(policy::Hook::kPauseDecision,
-                     std::make_shared<policy::QuietPausePolicy>());
-        break;
-      case Variant::kDestSwap:
-        spec.or_to(testbed.eth_host(3));
-        policies.use(policy::Hook::kEpisodeStart,
-                     std::make_shared<policy::DestinationSwapPolicy>());
-        break;
-      case Variant::kBlackoutShed: {
-        policy::PolicySet admission;
-        admission.use(policy::Hook::kAdmission,
-                      std::make_shared<policy::BlackoutShedPolicy>());
-        service.set_admission(std::move(admission), config.seed);
-        break;
-      }
-      default:
-        break;
+  core::EpisodeSpec spec(vms[0], testbed.eth_host(2));
+  spec.after(Duration::millis(300)).observe(service.observation_source());
+  policy::PolicySet policies;
+  switch (variant) {
+    case Variant::kStatic:
+      policies.use(std::make_shared<policy::StaticPolicy>());
+      break;
+    case Variant::kSloThrottle:
+      policies.use(policy::Hook::kPreCopyRound, std::make_shared<policy::SloThrottlePolicy>());
+      break;
+    case Variant::kQuietPause:
+      policies.use(policy::Hook::kPauseDecision, std::make_shared<policy::QuietPausePolicy>());
+      break;
+    case Variant::kDestSwap:
+      spec.or_to(testbed.eth_host(3));
+      policies.use(policy::Hook::kEpisodeStart,
+                   std::make_shared<policy::DestinationSwapPolicy>());
+      break;
+    case Variant::kBlackoutShed: {
+      policy::PolicySet admission;
+      admission.use(policy::Hook::kAdmission, std::make_shared<policy::BlackoutShedPolicy>());
+      service.set_admission(std::move(admission), config.seed);
+      break;
     }
-    spec.with(std::move(policies), config.seed);
-    (void)episode.start(std::move(spec));
+    default:
+      break;
   }
+  spec.with(std::move(policies), config.seed);
+  (void)episode.start(std::move(spec));
 
   testbed.sim().run_for(Duration::seconds(20));
 
@@ -287,10 +275,6 @@ TEST(PolicyGolden, ExplicitStaticPolicyReproducesPreRefactorTimeline) {
   expect_golden(run_scenario(0, Variant::kStatic), "explicit StaticPolicy");
 }
 
-TEST(PolicyGolden, DeprecatedShimReproducesPreRefactorTimeline) {
-  expect_golden(run_scenario(0, Variant::kLegacyShim), "deprecated start() shim");
-}
-
 class PolicyDeterminism : public ::testing::TestWithParam<Variant> {};
 
 TEST_P(PolicyDeterminism, TimelineBitIdenticalAcrossSolveWorkers) {
@@ -331,17 +315,21 @@ INSTANTIATE_TEST_SUITE_P(ShippedPolicies, PolicyDeterminism,
 // ---------------------------------------------------------------------------
 
 struct SloOutcome {
+  std::uint64_t digest = 0;
   std::uint64_t generated = 0;
   std::uint64_t completed = 0;
+  std::int64_t episode_end_ns = 0;
+  std::int64_t blackout_ns = 0;
+  std::int64_t precopy_ns = 0;
   bool episode_done = false;
   bool downtime_ok = false;
   Duration precopy_p99 = Duration::zero();
   std::uint64_t precopy_requests = 0;
 };
 
-SloOutcome run_loaded(bool throttle) {
+SloOutcome run_loaded(bool throttle, int fluid_shards = 1) {
   core::TestbedConfig config;
-  config.fluid_shards = 2;
+  config.fluid_shards = fluid_shards;
   core::Testbed testbed(config);
 
   workloads::KvServiceConfig svc;
@@ -387,12 +375,17 @@ SloOutcome run_loaded(bool throttle) {
   testbed.sim().run_for(Duration::seconds(30));
 
   SloOutcome out;
+  out.digest = service.digest();
   out.generated = service.generated();
   out.completed = service.completed();
   out.episode_done = episode.done();
   if (out.episode_done) {
     out.downtime_ok = episode.downtime_within(
         testbed.eth_host(0).migration_engine().config().max_downtime);
+    const auto report = episode.report();
+    out.episode_end_ns = report.end_at.count_nanos();
+    out.blackout_ns = report.blackout.count_nanos();
+    out.precopy_ns = report.precopy.count_nanos();
   }
   const auto& precopy = service.phase(vmm::MigrationPhase::kPreCopy);
   out.precopy_requests = precopy.requests;
@@ -415,6 +408,23 @@ TEST(SloThrottleProperty, NoWorsePrecopyTailAndDowntimePromiseHolds) {
   // The whole point: backing off the pre-copy bandwidth must not make the
   // users' pre-copy tail worse than the uncapped baseline.
   EXPECT_LE(throttled.precopy_p99, plain.precopy_p99);
+}
+
+// One settle schedule: every fluid solve runs at the end of its simulated
+// instant in canonical component order, so an extra (empty) fluid shard
+// changes the domain count but never the timeline — even under load, where
+// same-nanosecond request completions and arrivals are common.
+TEST(SettleSchedule, LoadedServiceTimelineIdenticalAcrossFluidShardCounts) {
+  const SloOutcome one = run_loaded(/*throttle=*/false, /*fluid_shards=*/1);
+  const SloOutcome two = run_loaded(/*throttle=*/false, /*fluid_shards=*/2);
+  ASSERT_TRUE(one.episode_done);
+  EXPECT_EQ(one.digest, two.digest);
+  EXPECT_EQ(one.generated, two.generated);
+  EXPECT_EQ(one.completed, two.completed);
+  EXPECT_EQ(one.episode_end_ns, two.episode_end_ns);
+  EXPECT_EQ(one.blackout_ns, two.blackout_ns);
+  EXPECT_EQ(one.precopy_ns, two.precopy_ns);
+  EXPECT_EQ(one.precopy_p99, two.precopy_p99);
 }
 
 // ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ void expect_traces_identical(const EpisodeTrace& t, const EpisodeTrace& base,
 }
 
 TEST(Sharding, ParallelSolveMatrixBitIdenticalToSingleThread) {
-  // The single-threaded (no pool) run is the ground truth; every
+  // The 0-worker single-domain run is the ground truth; every
   // (workers, domains) combination must replay it exactly — the SolvePool
   // batches each instant's dirty components, computes them on however many
   // threads, and commits in canonical (domain, component) order, so the
@@ -269,7 +269,8 @@ TEST(Sharding, DisjointZonesOnSeparateDomainsMatchSingleScheduler) {
 }
 
 TEST(Sharding, ParallelSolvePoolMatchesSerialOnDisjointZones) {
-  // Reference: two zones on separate domains, settled serially (no pool).
+  // Reference: two zones on separate, unattached domains, each settled
+  // serially by its scheduler's own end-of-instant hook.
   std::vector<std::int64_t> serial;
   {
     sim::Simulation sim;
