@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/job.h"
@@ -209,16 +210,20 @@ TEST(MpiRuntime, ApiMisuseChecks) {
 }
 
 // Parameterized: p2p works for every (cluster, payload) combination.
+// gtest names each case after the parameter's raw bytes, so the struct must
+// have no padding: padding bytes are indeterminate and would make the test
+// names differ from build to build. `ib` is therefore a full word (1 = IB).
 struct P2pCase {
-  bool ib;
+  std::uint64_t ib;
   std::uint64_t kib;
 };
+static_assert(std::has_unique_object_representations_v<P2pCase>);
 class MpiP2pMatrix : public ::testing::TestWithParam<P2pCase> {};
 
 TEST_P(MpiP2pMatrix, RoundTripCompletes) {
   const auto param = GetParam();
   Testbed tb;
-  MpiJob job(tb, small_job(2, 1, param.ib));
+  MpiJob job(tb, small_job(2, 1, param.ib != 0));
   job.init();
   MessageInfo echo;
   job.launch([&job, &echo, param](RankId me) -> sim::Task {
