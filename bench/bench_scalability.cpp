@@ -56,10 +56,12 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/common.h"
@@ -280,6 +282,107 @@ SolveSweepResult run_parallel_solve(int pods, int workers) {
   return res;
 }
 
+// --- Sweeps 7-11: the shared determinism harness ----------------------------
+
+/// JSON digest entries in emission order: (key, printed value).
+using JsonKeys = std::vector<std::pair<std::string, std::string>>;
+
+/// What one run of a determinism sweep hands the harness.
+struct SweepRun {
+  /// Table cells between the "workers" and "timeline" columns.
+  std::vector<std::string> cells;
+  /// Simulated-time results (never wall-clock) pinned per run in the JSON
+  /// digest as "workers<W>_<key>"; each must equal the 0-worker run's.
+  JsonKeys pinned;
+  /// Further results that must equal the 0-worker run's but are not pinned
+  /// per run.
+  std::vector<std::uint64_t> same_as_serial;
+  /// The run's own gates: every exchange converged, every VM landed, ...
+  bool ok = true;
+};
+
+/// One of sweeps 7-11: every row group runs at 0/1/2/4 solve workers and
+/// each run is compared with the group's 0-worker run.
+struct DeterminismSweep {
+  /// N in `--sweepN` and BENCH_scalability_sweepN.json.
+  int number = 0;
+  std::string heading;
+  /// Leading column naming the row groups (sweep 7's pod counts): each
+  /// group prefixes its JSON keys with "<group_column><group>_". Empty for
+  /// a single group and no column.
+  std::string group_column;
+  std::vector<int> groups = {0};
+  /// Columns between "workers" and "timeline".
+  std::vector<std::string> columns;
+  std::function<SweepRun(int group, int workers)> run;
+  /// Runs after the table: the sweep's extra gates. Appends its keys to the
+  /// JSON digest, prints the note under the table when `print`, and returns
+  /// false when a gate fails.
+  std::function<bool(bool print, JsonKeys& json)> finish;
+};
+
+/// Runs `sweep`, renders its table unless `json_only`, and writes the
+/// deterministic digest CI key-checks against the committed baseline.
+/// Returns 1 on a diverged timeline, a failed gate, or a digest that could
+/// not be written; 0 otherwise.
+int determinism_sweep(const DeterminismSweep& sweep, bool json_only) {
+  std::cout << sweep.heading;
+  const bool grouped = !sweep.group_column.empty();
+  std::vector<std::string> header;
+  if (grouped) {
+    header.push_back(sweep.group_column);
+  }
+  header.emplace_back("workers");
+  header.insert(header.end(), sweep.columns.begin(), sweep.columns.end());
+  header.emplace_back("timeline");
+  TextTable table(std::move(header));
+  JsonKeys json;
+  bool failed = false;
+  for (const int group : sweep.groups) {
+    const std::string prefix = grouped ? sweep.group_column + std::to_string(group) + "_" : "";
+    SweepRun serial;
+    for (const int workers : {0, 1, 2, 4}) {
+      auto r = sweep.run(group, workers);
+      if (workers == 0) {
+        serial = r;
+      }
+      const bool identical =
+          r.pinned == serial.pinned && r.same_as_serial == serial.same_as_serial;
+      failed = failed || !identical || !r.ok;
+      std::vector<std::string> row;
+      if (grouped) {
+        row.push_back(std::to_string(group));
+      }
+      row.push_back(workers == 0 ? "0 (serial)" : std::to_string(workers));
+      row.insert(row.end(), r.cells.begin(), r.cells.end());
+      row.emplace_back(!identical ? "DIVERGED" : workers == 0 ? "baseline" : "bit-identical");
+      table.add_row(std::move(row));
+      for (const auto& [key, value] : r.pinned) {
+        json.emplace_back(prefix + "workers" + std::to_string(workers) + "_" + key, value);
+      }
+    }
+  }
+  if (!json_only) {
+    table.render(std::cout);
+  }
+  failed = !sweep.finish(!json_only, json) || failed;
+
+  const std::string path = "BENCH_scalability_sweep" + std::to_string(sweep.number) + ".json";
+  std::ofstream out(path);
+  out << "{\n";
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    out << "  \"" << json[i].first << "\": " << json[i].second
+        << (i + 1 < json.size() ? "," : "") << "\n";
+  }
+  out << "}\n";
+  out.close();
+  if (out.fail()) {
+    std::cerr << "bench_scalability: cannot write " << path << "\n";
+    return 1;
+  }
+  return failed ? 1 : 0;
+}
+
 // --- Sweep 7: cross-domain boundary flows through a shared spine ------------
 
 // P pods, each its own FluidNet domain, plus a "core" domain holding one
@@ -345,54 +448,36 @@ CrossDomainResult run_cross_domain(int pods, int workers) {
   return res;
 }
 
-// Deterministic digest of sweep 7 for the CI baseline diff: only the
-// simulated-time results (never wall-clock) go into the JSON.
-void write_sweep7_json(const std::vector<std::array<std::int64_t, 3>>& rows) {
-  std::ofstream out("BENCH_scalability_sweep7.json");
-  out << "{\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    out << "  \"pods" << rows[i][0] << "_workers" << rows[i][1]
-        << "_final_ns\": " << rows[i][2] << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "}\n";
-}
-
 int run_sweep7(bool json_only) {
-  std::cout << "\n7. Cross-domain boundary flows (" << kCrossPodNodes
-            << "-node pods, shared spine in a core domain, inter-pod transfers\n"
-               "   span 3 domains via the ghost-capacity exchange):\n";
-  TextTable t7({"pods", "workers", "drain [ms]", "boundary flows", "exch rounds",
-                "timeline"});
-  std::vector<std::array<std::int64_t, 3>> json_rows;
-  bool diverged = false;
-  for (const int pods : {2, 4}) {
-    CrossDomainResult baseline;
-    for (const int workers : {0, 1, 2, 4}) {
-      const auto r = run_cross_domain(pods, workers);
-      if (workers == 0) {
-        baseline = r;
-      }
-      diverged = diverged || r.final_ns != baseline.final_ns || r.unconverged != 0;
-      t7.add_row({std::to_string(pods),
-                  workers == 0 ? "0 (serial)" : std::to_string(workers),
-                  TextTable::num(r.wall_ms, 2), std::to_string(r.peak_boundary),
-                  std::to_string(r.exchange_rounds),
-                  r.final_ns == baseline.final_ns
-                      ? (workers == 0 ? "baseline" : "bit-identical")
-                      : "DIVERGED"});
-      json_rows.push_back({pods, workers, r.final_ns});
-    }
-  }
-  if (!json_only) {
-    t7.render(std::cout);
-    std::cout << "Each transfer's home flow lives in its source pod; ghost flows\n"
-                 "mirror it onto the spine and the destination pod, and the settle\n"
-                 "loop iterates publish/re-solve until the boundary rates reach a\n"
-                 "fixed point. Commits still replay in canonical (domain, component)\n"
-                 "order, so the timeline is bit-identical at every worker count.\n";
-  }
-  write_sweep7_json(json_rows);
-  return diverged ? 1 : 0;
+  return determinism_sweep(
+      {.number = 7,
+       .heading = "\n7. Cross-domain boundary flows (" + std::to_string(kCrossPodNodes) +
+                  "-node pods, shared spine in a core domain, inter-pod transfers\n"
+                  "   span 3 domains via the ghost-capacity exchange):\n",
+       .group_column = "pods",
+       .groups = {2, 4},
+       .columns = {"drain [ms]", "boundary flows", "exch rounds"},
+       .run =
+           [](int pods, int workers) {
+             const auto r = run_cross_domain(pods, workers);
+             return SweepRun{.cells = {TextTable::num(r.wall_ms, 2),
+                                       std::to_string(r.peak_boundary),
+                                       std::to_string(r.exchange_rounds)},
+                             .pinned = {{"final_ns", std::to_string(r.final_ns)}},
+                             .ok = r.unconverged == 0};
+           },
+       .finish =
+           [](bool print, JsonKeys&) {
+             if (print) {
+               std::cout << "Each transfer's home flow lives in its source pod; ghost flows\n"
+                            "mirror it onto the spine and the destination pod, and the settle\n"
+                            "loop iterates publish/re-solve until the boundary rates reach a\n"
+                            "fixed point. Commits still replay in canonical (domain, component)\n"
+                            "order, so the timeline is bit-identical at every worker count.\n";
+             }
+             return true;
+           }},
+      json_only);
 }
 
 // --- Sweep 8: federated evacuation over a calibrated WAN --------------------
@@ -457,54 +542,39 @@ FederatedResult run_federated_evacuation(int workers) {
   return res;
 }
 
-void write_sweep8_json(const std::vector<std::array<std::int64_t, 3>>& rows) {
-  std::ofstream out("BENCH_scalability_sweep8.json");
-  out << "{\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    out << "  \"workers" << rows[i][0] << "_evac_done_ns\": " << rows[i][1] << ",\n"
-        << "  \"workers" << rows[i][0] << "_final_ns\": " << rows[i][2]
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "}\n";
-}
-
 int run_sweep8(bool json_only) {
-  std::cout << "\n8. Federated evacuation (two sites, 50 ms / 1 Gbps / 0.1 % WAN,\n"
-               "   4 VMs live-migrated cross-site onto 2 hosts):\n";
-  TextTable t8({"workers", "wall [ms]", "evac done [s]", "exch rounds", "timeline"});
-  std::vector<std::array<std::int64_t, 3>> json_rows;
-  bool diverged = false;
-  FederatedResult baseline;
-  for (const int workers : {0, 1, 2, 4}) {
-    const auto r = run_federated_evacuation(workers);
-    if (workers == 0) {
-      baseline = r;
-    }
-    diverged = diverged || r.final_ns != baseline.final_ns ||
-               r.evac_done_ns != baseline.evac_done_ns || r.unconverged != 0;
-    t8.add_row({workers == 0 ? "0 (serial)" : std::to_string(workers),
-                TextTable::num(r.wall_ms, 2),
-                TextTable::num(static_cast<double>(r.evac_done_ns) / 1e9, 3),
-                std::to_string(r.exchange_rounds),
-                r.final_ns == baseline.final_ns && r.evac_done_ns == baseline.evac_done_ns
-                    ? (workers == 0 ? "baseline" : "bit-identical")
-                    : "DIVERGED"});
-    json_rows.push_back({workers, r.evac_done_ns, r.final_ns});
-  }
-  if (!json_only) {
-    t8.render(std::cout);
-    std::cout << "Each pre-copy stream is a boundary flow through both sites' uplinks\n"
-                 "and the WanLink endpoint pair; the link's CapPolicy folds the Mathis\n"
-                 "ceiling into every published ghost cap, and the evacuation lands at\n"
-                 "the same nanosecond at every worker count.\n";
-  }
-  write_sweep8_json(json_rows);
-  return diverged ? 1 : 0;
+  return determinism_sweep(
+      {.number = 8,
+       .heading = "\n8. Federated evacuation (two sites, 50 ms / 1 Gbps / 0.1 % WAN,\n"
+                  "   4 VMs live-migrated cross-site onto 2 hosts):\n",
+       .columns = {"wall [ms]", "evac done [s]", "exch rounds"},
+       .run =
+           [](int, int workers) {
+             const auto r = run_federated_evacuation(workers);
+             return SweepRun{
+                 .cells = {TextTable::num(r.wall_ms, 2),
+                           TextTable::num(static_cast<double>(r.evac_done_ns) / 1e9, 3),
+                           std::to_string(r.exchange_rounds)},
+                 .pinned = {{"evac_done_ns", std::to_string(r.evac_done_ns)},
+                            {"final_ns", std::to_string(r.final_ns)}},
+                 .ok = r.unconverged == 0};
+           },
+       .finish =
+           [](bool print, JsonKeys&) {
+             if (print) {
+               std::cout << "Each pre-copy stream is a boundary flow through both sites' uplinks\n"
+                            "and the WanLink endpoint pair; the link's CapPolicy folds the Mathis\n"
+                            "ceiling into every published ghost cap, and the evacuation lands at\n"
+                            "the same nanosecond at every worker count.\n";
+             }
+             return true;
+           }},
+      json_only);
 }
 
-// --- Sweep 9: planned mass evacuation over a 5-site mesh --------------------
+// --- Sweeps 9 and 11: planned mass evacuations ------------------------------
 
-struct MeshEvacResult {
+struct EvacResult {
   std::int64_t final_ns = 0;
   std::int64_t evac_done_ns = 0;
   std::int64_t makespan_ns = 0;
@@ -513,9 +583,62 @@ struct MeshEvacResult {
   std::size_t fleet = 0;
   std::size_t unconverged = 0;
   double wall_ms = 0.0;
+
+  /// Every VM landed and every exchange converged.
+  [[nodiscard]] bool clean() const { return evacuated == fleet && unconverged == 0; }
 };
 
-MeshEvacResult run_mesh_evacuation(int workers, bool sequential) {
+// Boots `per_host` 1 GiB VMs on every host of site 0, each with `dirty`
+// bytes written past its OS footprint, then drains the site with
+// MassEvacuation under `ecfg`.
+EvacResult evacuate_site0(core::Federation& fed, int per_host, Bytes dirty,
+                          core::EvacuationConfig ecfg) {
+  EvacResult res;
+  auto& src = fed.site(0);
+  for (int h = 0; h < src.eth_host_count(); ++h) {
+    for (int v = 0; v < per_host; ++v) {
+      vmm::VmSpec spec;
+      spec.name = "vm" + std::to_string(h) + "_" + std::to_string(v);
+      spec.memory = Bytes::gib(1);
+      spec.base_os_footprint = Bytes::mib(128);
+      auto vm = src.boot_vm(src.eth_host(h), spec, /*with_hca=*/false);
+      vm->memory().write_data(Bytes::mib(128), dirty);
+      ++res.fleet;
+    }
+  }
+  fed.settle();
+
+  ecfg.source_site = 0;
+  core::MassEvacuation evac(fed, std::move(ecfg));
+  core::EvacuationReport report;
+  const auto start = std::chrono::steady_clock::now();
+  fed.sim().spawn(evac.run(&report), "mass-evac");
+  res.final_ns = fed.sim().run().count_nanos();
+  res.wall_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+          .count();
+  res.evac_done_ns = report.done_ns;
+  res.makespan_ns = report.done_ns - report.started_ns;
+  res.waves = report.waves;
+  res.evacuated = report.evacuated;
+  res.unconverged = fed.unconverged_exchange_count();
+  return res;
+}
+
+SweepRun evac_sweep_run(const EvacResult& r) {
+  return SweepRun{.cells = {TextTable::num(r.wall_ms, 2),
+                            TextTable::num(static_cast<double>(r.makespan_ns) / 1e9, 3),
+                            std::to_string(r.waves),
+                            std::to_string(r.evacuated) + "/" + std::to_string(r.fleet)},
+                  .pinned = {{"evac_done_ns", std::to_string(r.evac_done_ns)},
+                             {"final_ns", std::to_string(r.final_ns)}},
+                  .same_as_serial = {static_cast<std::uint64_t>(r.waves)},
+                  .ok = r.clean()};
+}
+
+// --- Sweep 9: planned mass evacuation over a 5-site mesh --------------------
+
+EvacResult run_mesh_evacuation(int workers, bool sequential) {
   // Same shape as examples/mass_evacuation.cpp, sized for CI: dc0 is the
   // failing site, dc1..dc3 are direct neighbours, dc4 is two hops out so
   // the planner's multi-hop routes carry real traffic.
@@ -537,98 +660,48 @@ MeshEvacResult run_mesh_evacuation(int workers, bool sequential) {
   fcfg.solve_workers = workers;
   core::Federation fed(fcfg);
 
-  MeshEvacResult res;
-  auto& src = fed.site(0);
-  for (int h = 0; h < src.eth_host_count(); ++h) {
-    for (int v = 0; v < 4; ++v) {
-      vmm::VmSpec spec;
-      spec.name = "vm" + std::to_string(h) + "_" + std::to_string(v);
-      spec.memory = Bytes::gib(1);
-      spec.base_os_footprint = Bytes::mib(128);
-      auto vm = src.boot_vm(src.eth_host(h), spec, /*with_hca=*/false);
-      vm->memory().write_data(Bytes::mib(128), Bytes::mib(128));
-      ++res.fleet;
-    }
-  }
-  fed.settle();
-
   core::EvacuationConfig ecfg;
-  ecfg.source_site = 0;
   ecfg.sequential = sequential;
-  core::MassEvacuation evac(fed, ecfg);
-  core::EvacuationReport report;
-  const auto start = std::chrono::steady_clock::now();
-  fed.sim().spawn(evac.run(&report), "mass-evac");
-  res.final_ns = fed.sim().run().count_nanos();
-  res.wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-          .count();
-  res.evac_done_ns = report.done_ns;
-  res.makespan_ns = report.done_ns - report.started_ns;
-  res.waves = report.waves;
-  res.evacuated = report.evacuated;
-  res.unconverged = fed.unconverged_exchange_count();
-  return res;
-}
-
-void write_sweep9_json(const std::vector<std::array<std::int64_t, 3>>& rows,
-                       std::int64_t planner_makespan_ns, std::int64_t sequential_makespan_ns) {
-  std::ofstream out("BENCH_scalability_sweep9.json");
-  out << "{\n";
-  for (const auto& row : rows) {
-    out << "  \"workers" << row[0] << "_evac_done_ns\": " << row[1] << ",\n"
-        << "  \"workers" << row[0] << "_final_ns\": " << row[2] << ",\n";
-  }
-  out << "  \"planner_makespan_ns\": " << planner_makespan_ns << ",\n"
-      << "  \"sequential_makespan_ns\": " << sequential_makespan_ns << "\n";
-  out << "}\n";
+  return evacuate_site0(fed, /*per_host=*/4, Bytes::mib(128), std::move(ecfg));
 }
 
 int run_sweep9(bool json_only) {
-  std::cout << "\n9. Planned mass evacuation (5-site mesh, 1 Gbps / 5 ms metro edges,\n"
-               "   32 VMs drained off the source site by the wave planner):\n";
-  TextTable t9({"workers", "wall [ms]", "makespan [s]", "waves", "evacuated", "timeline"});
-  std::vector<std::array<std::int64_t, 3>> json_rows;
-  bool diverged = false;
-  MeshEvacResult baseline;
-  for (const int workers : {0, 1, 2, 4}) {
-    const auto r = run_mesh_evacuation(workers, /*sequential=*/false);
-    if (workers == 0) {
-      baseline = r;
-    }
-    diverged = diverged || r.final_ns != baseline.final_ns ||
-               r.evac_done_ns != baseline.evac_done_ns || r.waves != baseline.waves ||
-               r.evacuated != r.fleet || r.unconverged != 0;
-    t9.add_row({workers == 0 ? "0 (serial)" : std::to_string(workers),
-                TextTable::num(r.wall_ms, 2),
-                TextTable::num(static_cast<double>(r.makespan_ns) / 1e9, 3),
-                std::to_string(r.waves),
-                std::to_string(r.evacuated) + "/" + std::to_string(r.fleet),
-                r.final_ns == baseline.final_ns && r.evac_done_ns == baseline.evac_done_ns
-                    ? (workers == 0 ? "baseline" : "bit-identical")
-                    : "DIVERGED"});
-    json_rows.push_back({workers, r.evac_done_ns, r.final_ns});
-  }
-  const auto naive = run_mesh_evacuation(/*workers=*/0, /*sequential=*/true);
-  const bool planner_beats_sequential = baseline.makespan_ns < naive.makespan_ns;
-  diverged = diverged || !planner_beats_sequential || naive.evacuated != naive.fleet ||
-             naive.unconverged != 0;
-  if (!json_only) {
-    t9.render(std::cout);
-    std::cout << "Naive-sequential baseline: "
-              << TextTable::num(static_cast<double>(naive.makespan_ns) / 1e9, 3)
-              << " s; the batched plan "
-              << (planner_beats_sequential ? "wins" : "LOSES — GATE FAILED") << " ("
-              << TextTable::num(static_cast<double>(naive.makespan_ns) /
-                                    static_cast<double>(baseline.makespan_ns),
-                                2)
-              << "x). Every wave grant reads the live mesh and re-runs the max-min\n"
-                 "rate assignment, yet all inputs are deterministic functions of\n"
-                 "simulated state, so the whole evacuation lands at the same\n"
-                 "nanosecond at every worker count.\n";
-  }
-  write_sweep9_json(json_rows, baseline.makespan_ns, naive.makespan_ns);
-  return diverged ? 1 : 0;
+  EvacResult planned;  // the 0-worker run the sequential baseline must lose to
+  return determinism_sweep(
+      {.number = 9,
+       .heading = "\n9. Planned mass evacuation (5-site mesh, 1 Gbps / 5 ms metro edges,\n"
+                  "   32 VMs drained off the source site by the wave planner):\n",
+       .columns = {"wall [ms]", "makespan [s]", "waves", "evacuated"},
+       .run =
+           [&planned](int, int workers) {
+             const auto r = run_mesh_evacuation(workers, /*sequential=*/false);
+             if (workers == 0) {
+               planned = r;
+             }
+             return evac_sweep_run(r);
+           },
+       .finish =
+           [&planned](bool print, JsonKeys& json) {
+             const auto naive = run_mesh_evacuation(/*workers=*/0, /*sequential=*/true);
+             const bool planner_beats_sequential = planned.makespan_ns < naive.makespan_ns;
+             if (print) {
+               std::cout << "Naive-sequential baseline: "
+                         << TextTable::num(static_cast<double>(naive.makespan_ns) / 1e9, 3)
+                         << " s; the batched plan "
+                         << (planner_beats_sequential ? "wins" : "LOSES — GATE FAILED") << " ("
+                         << TextTable::num(static_cast<double>(naive.makespan_ns) /
+                                               static_cast<double>(planned.makespan_ns),
+                                           2)
+                         << "x). Every wave grant reads the live mesh and re-runs the max-min\n"
+                            "rate assignment, yet all inputs are deterministic functions of\n"
+                            "simulated state, so the whole evacuation lands at the same\n"
+                            "nanosecond at every worker count.\n";
+             }
+             json.emplace_back("planner_makespan_ns", std::to_string(planned.makespan_ns));
+             json.emplace_back("sequential_makespan_ns", std::to_string(naive.makespan_ns));
+             return planner_beats_sequential && naive.clean();
+           }},
+      json_only);
 }
 
 // --- Sweep 10: SLO-visible migration under open-loop service load -----------
@@ -706,85 +779,64 @@ ServiceSloResult run_service_slo(int workers) {
   return res;
 }
 
-void write_sweep10_json(const std::vector<std::array<std::int64_t, 2>>& rows,
-                        const ServiceSloResult& baseline) {
-  std::ofstream out("BENCH_scalability_sweep10.json");
-  out << "{\n";
-  for (const auto& row : rows) {
-    out << "  \"workers" << row[0] << "_final_ns\": " << row[1] << ",\n";
-  }
-  out << "  \"service_digest\": " << baseline.digest << ",\n"
-      << "  \"requests\": " << baseline.generated << ",\n"
-      << "  \"deadline_misses\": " << baseline.misses << ",\n"
-      << "  \"p999_ns\": " << baseline.p999_ns << ",\n"
-      << "  \"blackout_ns\": " << baseline.blackout_ns << "\n";
-  out << "}\n";
-}
-
 int run_sweep10(bool json_only) {
   // Overall p999 ceiling: steady-state p999 in this scenario is ~6 ms; the
   // blackout cohort tops out around the ~20 ms pause. 50 ms of headroom
   // means the gate only trips on a real queueing regression.
   constexpr std::int64_t kP999CeilingNs = 50'000'000;
-  std::cout << "\n10. Open-loop KV service under migration (2 servers, 1,200 req/s,\n"
-               "    kv0 migrated at t=0.5 s while serving):\n";
-  TextTable t10({"workers", "wall [ms]", "req/s (wall)", "requests", "p999 [ms]",
-                 "blackout [ms]", "timeline"});
-  std::vector<std::array<std::int64_t, 2>> json_rows;
   // Best-of over *throughput*: larger is better — the direction parameter
   // this sweep exists to exercise (a latency-style min would report the
   // slowest run as the best).
   BestOf throughput(BestOf::Direction::kLargerIsBetter);
-  bool diverged = false;
-  ServiceSloResult baseline;
-  for (const int workers : {0, 1, 2, 4}) {
-    const auto r = run_service_slo(workers);
-    if (workers == 0) {
-      baseline = r;
-    }
-    diverged = diverged || r.final_ns != baseline.final_ns || r.digest != baseline.digest ||
-               r.completed != r.generated || r.p999_ns > kP999CeilingNs ||
-               r.blackout_ns <= 0 || r.unconverged != 0;
-    const double rps = static_cast<double>(r.completed) / (r.wall_ms / 1000.0);
-    throughput.add(rps);
-    t10.add_row({workers == 0 ? "0 (serial)" : std::to_string(workers),
-                 TextTable::num(r.wall_ms, 2), TextTable::num(rps, 0),
-                 std::to_string(r.completed) + "/" + std::to_string(r.generated),
-                 TextTable::num(static_cast<double>(r.p999_ns) / 1e6, 2),
-                 TextTable::num(static_cast<double>(r.blackout_ns) / 1e6, 2),
-                 r.final_ns == baseline.final_ns && r.digest == baseline.digest
-                     ? (workers == 0 ? "baseline" : "bit-identical")
-                     : "DIVERGED"});
-    NM_CHECK(throughput.best() >= rps,
-             "BestOf(kLargerIsBetter) returned a non-maximal throughput");
-    json_rows.push_back({workers, r.final_ns});
-  }
-  if (!json_only) {
-    t10.render(std::cout);
-    std::cout << "Every request is real fabric traffic competing with the migration\n"
-              << "stream, yet arrivals are pre-drawn and pinned to absolute instants,\n"
-              << "so the whole service timeline lands bit-identically at every worker\n"
-              << "count. Best wall throughput: " << TextTable::num(throughput.best(), 0)
-              << " req/s (spread " << TextTable::num(throughput.spread(), 0) << ").\n";
-  }
-  write_sweep10_json(json_rows, baseline);
-  return diverged ? 1 : 0;
+  ServiceSloResult serial;  // the 0-worker run, pinned whole in the JSON
+  return determinism_sweep(
+      {.number = 10,
+       .heading = "\n10. Open-loop KV service under migration (2 servers, 1,200 req/s,\n"
+                  "    kv0 migrated at t=0.5 s while serving):\n",
+       .columns = {"wall [ms]", "req/s (wall)", "requests", "p999 [ms]", "blackout [ms]"},
+       .run =
+           [&](int, int workers) {
+             const auto r = run_service_slo(workers);
+             if (workers == 0) {
+               serial = r;
+             }
+             const double rps = static_cast<double>(r.completed) / (r.wall_ms / 1000.0);
+             throughput.add(rps);
+             NM_CHECK(throughput.best() >= rps,
+                      "BestOf(kLargerIsBetter) returned a non-maximal throughput");
+             return SweepRun{
+                 .cells = {TextTable::num(r.wall_ms, 2), TextTable::num(rps, 0),
+                           std::to_string(r.completed) + "/" + std::to_string(r.generated),
+                           TextTable::num(static_cast<double>(r.p999_ns) / 1e6, 2),
+                           TextTable::num(static_cast<double>(r.blackout_ns) / 1e6, 2)},
+                 .pinned = {{"final_ns", std::to_string(r.final_ns)}},
+                 .same_as_serial = {r.digest},
+                 .ok = r.completed == r.generated && r.p999_ns <= kP999CeilingNs &&
+                       r.blackout_ns > 0 && r.unconverged == 0};
+           },
+       .finish =
+           [&](bool print, JsonKeys& json) {
+             if (print) {
+               std::cout << "Every request is real fabric traffic competing with the migration\n"
+                         << "stream, yet arrivals are pre-drawn and pinned to absolute instants,\n"
+                         << "so the whole service timeline lands bit-identically at every worker\n"
+                         << "count. Best wall throughput: " << TextTable::num(throughput.best(), 0)
+                         << " req/s (spread " << TextTable::num(throughput.spread(), 0)
+                         << ").\n";
+             }
+             json.emplace_back("service_digest", std::to_string(serial.digest));
+             json.emplace_back("requests", std::to_string(serial.generated));
+             json.emplace_back("deadline_misses", std::to_string(serial.misses));
+             json.emplace_back("p999_ns", std::to_string(serial.p999_ns));
+             json.emplace_back("blackout_ns", std::to_string(serial.blackout_ns));
+             return true;
+           }},
+      json_only);
 }
 
 // --- Sweep 11: oversubscribed Clos evacuation, leaf-aware vs blind ----------
 
-struct ClosEvacResult {
-  std::int64_t final_ns = 0;
-  std::int64_t evac_done_ns = 0;
-  std::int64_t makespan_ns = 0;
-  int waves = 0;
-  std::size_t evacuated = 0;
-  std::size_t fleet = 0;
-  std::size_t unconverged = 0;
-  double wall_ms = 0.0;
-};
-
-ClosEvacResult run_clos_evacuation(int workers, bool topology_blind) {
+EvacResult run_clos_evacuation(int workers, bool topology_blind) {
   // CI-sized cousin of `examples/mass_evacuation`'s Clos scenario: dc0
   // drains 12 hosts racked 4-per-leaf under three 4:1-oversubscribed
   // leaves into two 2-leaf 2:1 refuges. Equal VM sizes make the blind
@@ -819,129 +871,74 @@ ClosEvacResult run_clos_evacuation(int workers, bool topology_blind) {
   fcfg.solve_workers = workers;
   core::Federation fed(fcfg);
 
-  ClosEvacResult res;
-  auto& src = fed.site(0);
-  for (int h = 0; h < src.eth_host_count(); ++h) {
-    for (int v = 0; v < 2; ++v) {
-      vmm::VmSpec spec;
-      spec.name = "vm" + std::to_string(h) + "_" + std::to_string(v);
-      spec.memory = Bytes::gib(1);
-      spec.base_os_footprint = Bytes::mib(128);
-      auto vm = src.boot_vm(src.eth_host(h), spec, /*with_hca=*/false);
-      vm->memory().write_data(Bytes::mib(128), Bytes::mib(768));
-      ++res.fleet;
-    }
-  }
-  fed.settle();
-
   core::EvacuationConfig ecfg;
-  ecfg.source_site = 0;
   ecfg.topology_blind = topology_blind;
   ecfg.planner.stream_rate_cap = kStreamCap;
-  core::MassEvacuation evac(fed, ecfg);
-  core::EvacuationReport report;
-  const auto start = std::chrono::steady_clock::now();
-  fed.sim().spawn(evac.run(&report), "clos-evac");
-  res.final_ns = fed.sim().run().count_nanos();
-  res.wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-          .count();
-  res.evac_done_ns = report.done_ns;
-  res.makespan_ns = report.done_ns - report.started_ns;
-  res.waves = report.waves;
-  res.evacuated = report.evacuated;
-  res.unconverged = fed.unconverged_exchange_count();
-  return res;
-}
-
-void write_sweep11_json(const std::vector<std::array<std::int64_t, 3>>& rows,
-                        std::int64_t aware_makespan_ns, std::int64_t blind_makespan_ns) {
-  std::ofstream out("BENCH_scalability_sweep11.json");
-  out << "{\n";
-  for (const auto& row : rows) {
-    out << "  \"workers" << row[0] << "_evac_done_ns\": " << row[1] << ",\n"
-        << "  \"workers" << row[0] << "_final_ns\": " << row[2] << ",\n";
-  }
-  out << "  \"aware_makespan_ns\": " << aware_makespan_ns << ",\n"
-      << "  \"blind_makespan_ns\": " << blind_makespan_ns << "\n";
-  out << "}\n";
+  return evacuate_site0(fed, /*per_host=*/2, Bytes::mib(768), std::move(ecfg));
 }
 
 int run_sweep11(bool json_only) {
-  std::cout << "\n11. Oversubscribed Clos evacuation (3x4:1 source leaves, 2-leaf 2:1\n"
-               "    refuges, 24 VMs; leaf-aware planner vs topology-blind):\n";
-  TextTable t11({"workers", "wall [ms]", "makespan [s]", "waves", "evacuated",
-                 "timeline"});
-  std::vector<std::array<std::int64_t, 3>> json_rows;
-  bool diverged = false;
-  ClosEvacResult baseline;
-  for (const int workers : {0, 1, 2, 4}) {
-    const auto r = run_clos_evacuation(workers, /*topology_blind=*/false);
-    if (workers == 0) {
-      baseline = r;
-    }
-    diverged = diverged || r.final_ns != baseline.final_ns ||
-               r.evac_done_ns != baseline.evac_done_ns || r.waves != baseline.waves ||
-               r.evacuated != r.fleet || r.unconverged != 0;
-    t11.add_row({workers == 0 ? "0 (serial)" : std::to_string(workers),
-                 TextTable::num(r.wall_ms, 2),
-                 TextTable::num(static_cast<double>(r.makespan_ns) / 1e9, 3),
-                 std::to_string(r.waves),
-                 std::to_string(r.evacuated) + "/" + std::to_string(r.fleet),
-                 r.final_ns == baseline.final_ns && r.evac_done_ns == baseline.evac_done_ns
-                     ? (workers == 0 ? "baseline" : "bit-identical")
-                     : "DIVERGED"});
-    json_rows.push_back({workers, r.evac_done_ns, r.final_ns});
-  }
-  const auto blind = run_clos_evacuation(/*workers=*/0, /*topology_blind=*/true);
-  const bool aware_never_worse = baseline.makespan_ns <= blind.makespan_ns;
-  diverged = diverged || !aware_never_worse || blind.evacuated != blind.fleet ||
-             blind.unconverged != 0;
-  if (!json_only) {
-    t11.render(std::cout);
-    std::cout << "Topology-blind baseline: "
-              << TextTable::num(static_cast<double>(blind.makespan_ns) / 1e9, 3)
-              << " s; the leaf-aware plan "
-              << (aware_never_worse ? "wins" : "LOSES — GATE FAILED") << " ("
-              << TextTable::num(static_cast<double>(blind.makespan_ns) /
-                                    static_cast<double>(baseline.makespan_ns),
-                                2)
-              << "x). Wave grants re-run the leaf-aware max-min against the live\n"
-                 "fabric, ECMP picks are salted-hash deterministic, and the whole\n"
-                 "evacuation lands at the same nanosecond at every worker count.\n";
-  }
-  write_sweep11_json(json_rows, baseline.makespan_ns, blind.makespan_ns);
-  return diverged ? 1 : 0;
+  EvacResult aware;  // the 0-worker run the topology-blind baseline is held to
+  return determinism_sweep(
+      {.number = 11,
+       .heading = "\n11. Oversubscribed Clos evacuation (3x4:1 source leaves, 2-leaf 2:1\n"
+                  "    refuges, 24 VMs; leaf-aware planner vs topology-blind):\n",
+       .columns = {"wall [ms]", "makespan [s]", "waves", "evacuated"},
+       .run =
+           [&aware](int, int workers) {
+             const auto r = run_clos_evacuation(workers, /*topology_blind=*/false);
+             if (workers == 0) {
+               aware = r;
+             }
+             return evac_sweep_run(r);
+           },
+       .finish =
+           [&aware](bool print, JsonKeys& json) {
+             const auto blind = run_clos_evacuation(/*workers=*/0, /*topology_blind=*/true);
+             const bool aware_never_worse = aware.makespan_ns <= blind.makespan_ns;
+             if (print) {
+               std::cout << "Topology-blind baseline: "
+                         << TextTable::num(static_cast<double>(blind.makespan_ns) / 1e9, 3)
+                         << " s; the leaf-aware plan "
+                         << (aware_never_worse ? "wins" : "LOSES — GATE FAILED") << " ("
+                         << TextTable::num(static_cast<double>(blind.makespan_ns) /
+                                               static_cast<double>(aware.makespan_ns),
+                                           2)
+                         << "x). Wave grants re-run the leaf-aware max-min against the live\n"
+                            "fabric, ECMP picks are salted-hash deterministic, and the whole\n"
+                            "evacuation lands at the same nanosecond at every worker count.\n";
+             }
+             json.emplace_back("aware_makespan_ns", std::to_string(aware.makespan_ns));
+             json.emplace_back("blind_makespan_ns", std::to_string(blind.makespan_ns));
+             return aware_never_worse && blind.clean();
+           }},
+      json_only);
 }
+
+/// The `--sweepN` flags, each running one sweep alone.
+struct SweepFlag {
+  const char* flag;
+  int (*run)(bool json_only);
+};
+constexpr std::array<SweepFlag, 5> kSweepFlags{{{"--sweep7", run_sweep7},
+                                                {"--sweep8", run_sweep8},
+                                                {"--sweep9", run_sweep9},
+                                                {"--sweep10", run_sweep10},
+                                                {"--sweep11", run_sweep11}}};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--sweep7` runs only the cross-domain sweep and emits its JSON digest
-  // (BENCH_scalability_sweep7.json); CI diffs it against the committed
-  // baseline. Exit code 1 on timeline divergence or unconverged exchange.
-  if (argc > 1 && std::strcmp(argv[1], "--sweep7") == 0) {
-    return run_sweep7(/*json_only=*/true);
-  }
-  // `--sweep8` likewise: only the federated evacuation, with its digest in
-  // BENCH_scalability_sweep8.json.
-  if (argc > 1 && std::strcmp(argv[1], "--sweep8") == 0) {
-    return run_sweep8(/*json_only=*/true);
-  }
-  // `--sweep9` likewise: only the planned mass evacuation, with its digest
-  // in BENCH_scalability_sweep9.json.
-  if (argc > 1 && std::strcmp(argv[1], "--sweep9") == 0) {
-    return run_sweep9(/*json_only=*/true);
-  }
-  // `--sweep10` likewise: only the service-under-migration SLO run, with
-  // its digest in BENCH_scalability_sweep10.json.
-  if (argc > 1 && std::strcmp(argv[1], "--sweep10") == 0) {
-    return run_sweep10(/*json_only=*/true);
-  }
-  // `--sweep11` likewise: only the oversubscribed Clos evacuation, with
-  // its digest in BENCH_scalability_sweep11.json.
-  if (argc > 1 && std::strcmp(argv[1], "--sweep11") == 0) {
-    return run_sweep11(/*json_only=*/true);
+  // `--sweepN` (N = 7..11) runs only that sweep and writes its JSON digest,
+  // BENCH_scalability_sweepN.json, which CI key-checks against the
+  // committed baseline. Exit code 1 on timeline divergence, a failed gate
+  // (including an unconverged exchange) or an unwritable digest.
+  if (argc > 1) {
+    for (const auto& sweep : kSweepFlags) {
+      if (std::strcmp(argv[1], sweep.flag) == 0) {
+        return sweep.run(/*json_only=*/true);
+      }
+    }
   }
   bench::print_header("Scalability", "episode cost sweeps (paper SS V discussion)");
 
@@ -1009,9 +1006,11 @@ int main(int argc, char** argv) {
             << std::max(1U, std::thread::hardware_concurrency()) << " hw thread(s)):\n";
   TextTable t5({"pods", "serial build [ms]", "parallel build [ms]", "speedup",
                 "timeline"});
+  bool sweeps_5_6_diverged = false;
   for (const int pods : {2, 4, 8}) {
     const auto serial = run_sharded(pods, /*parallel=*/false);
     const auto sharded = run_sharded(pods, /*parallel=*/true);
+    sweeps_5_6_diverged = sweeps_5_6_diverged || serial.final_ns != sharded.final_ns;
     t5.add_row({std::to_string(pods), TextTable::num(serial.construct_ms, 2),
                 TextTable::num(sharded.construct_ms, 2),
                 TextTable::num(serial.construct_ms / sharded.construct_ms, 2) + "x",
@@ -1036,6 +1035,7 @@ int main(int argc, char** argv) {
                 "1.00x", "-", "-", "baseline"});
     for (const int workers : {2, 4}) {
       const auto r = run_parallel_solve(pods, workers);
+      sweeps_5_6_diverged = sweeps_5_6_diverged || r.final_ns != baseline.final_ns;
       t6.add_row({std::to_string(pods), std::to_string(workers),
                   TextTable::num(r.wall_ms, 2),
                   TextTable::num(baseline.wall_ms / r.wall_ms, 2) + "x",
@@ -1050,14 +1050,9 @@ int main(int argc, char** argv) {
                "stays bit-identical to the serial drain at every worker count.\n"
                "Speedup tracks min(pods, cores); on a 1-core host the pool only\n"
                "adds handoff overhead — the determinism column is the invariant.\n";
-  const int sweep7 = run_sweep7(/*json_only=*/false);
-  const int sweep8 = run_sweep8(/*json_only=*/false);
-  const int sweep9 = run_sweep9(/*json_only=*/false);
-  const int sweep10 = run_sweep10(/*json_only=*/false);
-  const int sweep11 = run_sweep11(/*json_only=*/false);
-  return sweep7 != 0   ? sweep7
-         : sweep8 != 0 ? sweep8
-         : sweep9 != 0 ? sweep9
-         : sweep10 != 0 ? sweep10
-                        : sweep11;
+  bool failed = sweeps_5_6_diverged;
+  for (const auto& sweep : kSweepFlags) {
+    failed = sweep.run(/*json_only=*/false) != 0 || failed;
+  }
+  return failed ? 1 : 0;
 }

@@ -113,10 +113,10 @@ class FluidResource {
   double capacity_;
   std::size_t active_flows_ = 0;
   /// Σ weights of the unfinished flows crossing this resource, maintained
-  /// incrementally at admission/finish so the kPartialSort solver can seed
-  /// its weight-sum row without walking every flow's share list. Guard
-  /// decisions use the integer `active_flows_`, never this sum: repeated
-  /// add/subtract leaves fp residue behind.
+  /// incrementally at admission/finish so a solve can seed its weight-sum
+  /// row without walking every flow's share list. Guard decisions use the
+  /// integer `active_flows_`, never this sum: repeated add/subtract leaves
+  /// fp residue behind.
   double active_wsum_ = 0.0;
   /// The progressive-filling level at which this resource became binding in
   /// its component's most recent solve (−inf when it never bound). A
@@ -316,28 +316,6 @@ class FluidScheduler : public FlowRouter {
   /// Number of connected flow/resource components currently tracked.
   [[nodiscard]] std::size_t component_count() const;
 
-  /// Which progressive-filling implementation solves components.
-  /// `kPartialSort` is the production path: a cap min-heap plays the role of
-  /// the partial sort (only the next cap band is ever ordered), binding
-  /// resources freeze their flows through a transpose list, and all state
-  /// streams through dense SoA arrays laid out per component. The legacy
-  /// full-scan rounds are retained verbatim as `kFullScanReference` so tests
-  /// can cross-check the two against each other and against brute force.
-  /// Both compute the same max-min fair allocation; freeze ties are broken
-  /// by admission seq in either path.
-  enum class SolveMethod {
-    kPartialSort,
-    kFullScanReference,
-  };
-  void set_solve_method(SolveMethod method) { solve_method_ = method; }
-  [[nodiscard]] SolveMethod solve_method() const { return solve_method_; }
-
-  /// Re-balances every component now. Flow/resource mutations re-solve
-  /// only the affected component, and defer that solve to the end of the
-  /// current simulation instant (no simulated time passes in between), so
-  /// this is only needed as a big-hammer external entry point.
-  void rebalance();
-
  private:
   friend class Flow;
   friend class FluidResource;
@@ -394,16 +372,14 @@ class FluidScheduler : public FlowRouter {
   /// before use, so one scratch can serve components from any scheduler —
   /// it only ever needs to be grown, never cleared.
   struct SolveScratch {
-    // Slot-indexed rows shared by both solvers (the kPartialSort path
-    // addresses them through comp.res_slots[local]).
+    // Slot-indexed rows, addressed through comp.res_slots[local].
     std::vector<double> res_residual;
     std::vector<double> res_wsum;
     std::vector<std::uint32_t> res_unfrozen;
     std::vector<std::uint8_t> res_binding;
-    std::vector<Flow*> unfrozen;
-    /// Dense frozen flags for the kPartialSort solver; index = local flow
-    /// index (position in Component::flows, admission order). Caps and
-    /// residual work are read off the (cache-line-packed) Flow itself.
+    /// Dense frozen flags; index = local flow index (position in
+    /// Component::flows, admission order). Caps and residual work are read
+    /// off the (cache-line-packed) Flow itself.
     std::vector<std::uint8_t> f_frozen;
     /// Local indices of resources that still carry unfrozen flows,
     /// compacted as rounds freeze them out.
@@ -460,9 +436,6 @@ class FluidScheduler : public FlowRouter {
   /// mutates no scheduler-global state; completions and the next timer are
   /// reported through `out` for commit_component.
   void compute_component(Component& comp, SolveScratch& scratch, SolveResult& out);
-  /// The retained legacy compute phase (SolveMethod::kFullScanReference):
-  /// full scans over slot-indexed rows and the unfrozen pointer list.
-  void compute_component_reference(Component& comp, SolveScratch& scratch, SolveResult& out);
   /// Chases `comp.layout` toward `admission_gen`: builds the transpose only
   /// on the second consecutive solve at the same generation (stable
   /// membership), so churning components never pay the build.
@@ -485,11 +458,6 @@ class FluidScheduler : public FlowRouter {
   void commit_component(Component& comp, SolveResult& out);
   /// Advances progress/consumption at current rates; no completions.
   void integrate_component(Component& comp);
-  /// Weighted progressive-filling rounds over one component, consuming the
-  /// scratch state prepared by compute_component (`first_cap` = round-1 min
-  /// over flow caps). Returns the earliest time-to-completion among its
-  /// flows (seconds; +inf if none progress).
-  double assign_max_min_rates(Component& comp, double first_cap, SolveScratch& scratch);
   void arm_timer(Component& comp, double next_completion_s);
   void on_timer(std::uint64_t key);
 
@@ -530,15 +498,14 @@ class FluidScheduler : public FlowRouter {
   bool pool_dirty_ = false;       // this scheduler has unsettled components
   std::uint32_t pool_domain_ = 0;  // attach order = canonical domain id
 
-  // Solve scratch/result for the serial path (ensure_settled, rebalance,
-  // and settle_dirty when no pool is attached).
+  // Solve scratch/result for the serial path (ensure_settled, and
+  // settle_dirty when no pool is attached).
   SolveScratch serial_scratch_;
   SolveResult serial_result_;
 
   std::size_t retired_since_rebuild_ = 0;
   std::uint32_t next_gen_ = 0;
   std::uint64_t next_flow_seq_ = 0;
-  SolveMethod solve_method_ = SolveMethod::kPartialSort;
 };
 
 /// A topology shard: one independently-solved FluidScheduler over a shared
