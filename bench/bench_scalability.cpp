@@ -13,16 +13,15 @@
 //      receivers is where congestion actually shows up;
 //   4. wide-area sweep: Ethernet fabric latency 30 us -> 50 ms (the §II
 //      disaster-recovery / intercloud use case);
-//   5. sharded federated pods: P isolated pods, each on its own
-//      FluidDomain, constructed in parallel (one thread per pod) — the
-//      merged timeline must stay bit-identical to the single-scheduler
-//      serial build;
+//   5. sharded federated pods: P isolated pods, each on its own fluid
+//      domain, constructed in parallel (one thread per pod) — the merged
+//      timeline must stay bit-identical to the single-scheduler serial build;
 //   6. parallel dirty-domain solving: the SolvePool computes dirty pods on
 //      worker threads, commits in canonical order — timeline bit-identical
 //      to the serial drain;
 //   7. cross-domain boundary flows: inter-pod transfers traverse a shared
 //      spine switch in a separate core domain, so every transfer is a
-//      boundary flow spanning three FluidDomains; the ghost-capacity
+//      boundary flow spanning three fluid domains; the ghost-capacity
 //      exchange must converge to the same timeline at every worker count
 //      (`--sweep7` emits the machine-readable digest used by CI);
 //   8. federated evacuation: two testbeds coupled by a calibrated 50 ms /
@@ -136,7 +135,7 @@ struct Pod {
 // Builds one isolated pod (nodes + NIC ports) entirely inside `domain`.
 // Pure resource registration: no simulation posts, so pods on distinct
 // domains can be built from distinct threads.
-Pod build_pod(sim::FluidDomain& domain, int p, int node_count = kNodesPerPod) {
+Pod build_pod(sim::FluidScheduler& domain, int p, int node_count = kNodesPerPod) {
   Pod pod;
   pod.cluster = std::make_unique<hw::Cluster>("pod" + std::to_string(p));
   pod.ports.reserve(static_cast<std::size_t>(node_count));
@@ -154,10 +153,10 @@ Pod build_pod(sim::FluidDomain& domain, int p, int node_count = kNodesPerPod) {
 // events on the shared clock) and drains the merged timeline. The returned
 // final time is the cross-pod digest: it covers every pod's completion.
 std::int64_t run_pod_flows(sim::Simulation& sim, std::vector<Pod>& pods,
-                           const std::vector<sim::FluidDomain*>& pod_domain,
+                           const std::vector<sim::FluidScheduler*>& pod_domain,
                            int flow_nodes = kFlowNodes) {
   for (std::size_t p = 0; p < pods.size(); ++p) {
-    auto& sched = pod_domain[p]->scheduler();
+    auto& sched = *pod_domain[p];
     for (int n = 0; n < flow_nodes; ++n) {
       auto& node = pods[p].cluster->node(static_cast<std::size_t>(n));
       // A compute flow plus a ring transfer to the next node's NIC: the
@@ -181,16 +180,14 @@ struct ShardResult {
 
 ShardResult run_sharded(int pods, bool parallel) {
   sim::Simulation sim;
-  std::vector<std::unique_ptr<sim::FluidDomain>> domains;
-  std::vector<sim::FluidDomain*> pod_domain;
+  sim::FluidNet net(sim);
+  std::vector<sim::FluidScheduler*> pod_domain;
   if (parallel) {
     for (int p = 0; p < pods; ++p) {
-      domains.push_back(std::make_unique<sim::FluidDomain>(sim, "pod" + std::to_string(p)));
-      pod_domain.push_back(domains.back().get());
+      pod_domain.push_back(&net.add_domain("pod" + std::to_string(p)));
     }
   } else {
-    domains.push_back(std::make_unique<sim::FluidDomain>(sim, "all-pods"));
-    pod_domain.assign(static_cast<std::size_t>(pods), domains.front().get());
+    pod_domain.assign(static_cast<std::size_t>(pods), &net.add_domain("all-pods"));
   }
 
   std::vector<Pod> built(static_cast<std::size_t>(pods));
@@ -235,7 +232,8 @@ ShardResult run_sharded(int pods, bool parallel) {
 // program, so each completion instant dirties all P domains at once: the
 // SolvePool's settle batches genuinely span domains, and the expensive
 // progressive-filling re-solve of each pod's ring runs on a different
-// worker. Workers=0 is the no-pool serial baseline.
+// worker. Workers=0 is the serial baseline: the same compute/commit code,
+// run on the simulation thread.
 constexpr int kSolvePodNodes = 128;
 
 struct SolveSweepResult {
@@ -247,18 +245,10 @@ struct SolveSweepResult {
 
 SolveSweepResult run_parallel_solve(int pods, int workers) {
   sim::Simulation sim;
-  std::unique_ptr<sim::SolvePool> pool;
-  if (workers > 0) {
-    pool = std::make_unique<sim::SolvePool>(sim, workers);
-  }
-  std::vector<std::unique_ptr<sim::FluidDomain>> domains;
-  std::vector<sim::FluidDomain*> pod_domain;
+  sim::FluidNet net(sim, workers);
+  std::vector<sim::FluidScheduler*> pod_domain;
   for (int p = 0; p < pods; ++p) {
-    domains.push_back(std::make_unique<sim::FluidDomain>(sim, "pod" + std::to_string(p)));
-    if (pool != nullptr) {
-      pool->attach(domains.back()->scheduler());
-    }
-    pod_domain.push_back(domains.back().get());
+    pod_domain.push_back(&net.add_domain("pod" + std::to_string(p)));
   }
   std::vector<Pod> built;
   built.reserve(static_cast<std::size_t>(pods));
@@ -272,13 +262,8 @@ SolveSweepResult run_parallel_solve(int pods, int workers) {
   res.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
-  if (pool != nullptr) {
-    res.parallel_settles = pool->parallel_settle_count();
-    res.max_batch = pool->max_batch_size();
-  }
-  // Domains detach in ~Pod/domain destruction order; the pool (destroyed
-  // last among locals) must outlive them, which the declaration order above
-  // guarantees: pool > domains > built.
+  res.parallel_settles = net.pool()->parallel_settle_count();
+  res.max_batch = net.pool()->max_batch_size();
   return res;
 }
 
@@ -406,8 +391,8 @@ CrossDomainResult run_cross_domain(int pods, int workers) {
   sim::Simulation sim;
   sim::FluidNet net(sim, workers);
   auto& core = net.add_domain("core");
-  sim::FluidResource spine(core.scheduler(), "spine", 40e9);
-  std::vector<sim::FluidDomain*> pod_domain;
+  sim::FluidResource spine(core, "spine", 40e9);
+  std::vector<sim::FluidScheduler*> pod_domain;
   pod_domain.reserve(static_cast<std::size_t>(pods));
   for (int p = 0; p < pods; ++p) {
     pod_domain.push_back(&net.add_domain("pod" + std::to_string(p)));
@@ -1017,7 +1002,7 @@ int main(int argc, char** argv) {
                 serial.final_ns == sharded.final_ns ? "bit-identical" : "DIVERGED"});
   }
   t5.render(std::cout);
-  std::cout << "Pods are disjoint zones, so per-pod FluidDomains are a valid\n"
+  std::cout << "Pods are disjoint zones, so per-pod fluid domains are a valid\n"
                "sharding: domains solve independently, their timers merge through\n"
                "the one deterministic event queue, and the timeline matches the\n"
                "single-scheduler build bit for bit. Build speedup tracks the host's\n"
@@ -1025,7 +1010,7 @@ int main(int argc, char** argv) {
                "overhead); the timeline column is the invariant that matters.\n";
 
   std::cout << "\n6. Parallel dirty-domain solving (" << kSolvePodNodes
-            << "-node rings, 1 FluidDomain per pod, SolvePool settle; host has "
+            << "-node rings, 1 fluid domain per pod, SolvePool settle; host has "
             << std::max(1U, std::thread::hardware_concurrency()) << " hw thread(s)):\n";
   TextTable t6({"pods", "workers", "drain [ms]", "speedup", "par settles",
                 "max batch", "timeline"});

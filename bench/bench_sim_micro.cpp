@@ -124,8 +124,9 @@ void BM_FluidRebalance(benchmark::State& state) {
   const auto flows = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Simulation sim;
-    sim::FluidScheduler sched(sim);
-    sim::FluidResource nic("nic", 1e9);
+    sim::FluidNet net(sim);
+    sim::FluidScheduler& sched = net.add_domain("d");
+    sim::FluidResource nic(sched, "nic", 1e9);
     std::vector<sim::FlowPtr> live;
     live.reserve(static_cast<std::size_t>(flows));
     for (int i = 0; i < flows; ++i) {
@@ -148,7 +149,8 @@ void BM_FluidRebalanceMultiHost(benchmark::State& state) {
   constexpr int kChurn = 64;
   struct Env {
     sim::Simulation sim;
-    sim::FluidScheduler sched{sim};
+    sim::FluidNet net{sim};
+    sim::FluidScheduler& sched = net.add_domain("d");
     std::vector<std::unique_ptr<sim::FluidResource>> nics;
     std::vector<sim::FlowPtr> background;
     explicit Env(int host_count) {
@@ -202,8 +204,7 @@ void BM_DeepChainExchange(benchmark::State& state) {
         // GCC 12 -Wrestrict false positive under heavy inlining.
         const std::string tag = std::to_string(i);
         auto& dom = net.add_domain("d" + tag);
-        res.push_back(std::make_unique<sim::FluidResource>(
-            dom.scheduler(), "r" + tag, i == 0 ? 1e9 : 1e12));
+        res.push_back(std::make_unique<sim::FluidResource>(dom, "r" + tag, i == 0 ? 1e9 : 1e12));
       }
       sim::FlowSpec spec{.work = 1e15};
       for (auto& r : res) {

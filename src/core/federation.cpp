@@ -56,8 +56,8 @@ Federation::Federation(FederationConfig config)
   // remote from every site, and every VM's disk traffic reaches it as a
   // boundary flow regardless of which site the VM runs on.
   auto& core_domain = net_.add_domain("wan-core");
-  storage_ = std::make_unique<vmm::SharedStorage>(net_, core_domain.scheduler(), "geo",
-                                                  config_.geo_storage_rate);
+  storage_ =
+      std::make_unique<vmm::SharedStorage>(net_, core_domain, "geo", config_.geo_storage_rate);
 
   for (const FederationSiteConfig& site : config_.sites) {
     site_names_.push_back(site.name);
@@ -85,68 +85,32 @@ Federation::Federation(FederationConfig config)
     edge.b = ec.b;
     edge.uplink_a = &add_uplink(ec.a, e);
     edge.uplink_b = &add_uplink(ec.b, e);
-    edge.link = std::make_unique<sim::WanLink>(
-        sim_, sites_[ec.a]->zone_domain().scheduler(), sites_[ec.b]->zone_domain().scheduler(),
-        site_names_[ec.a] + "-" + site_names_[ec.b], ec.wan);
+    edge.link = std::make_unique<sim::WanLink>(sim_, sites_[ec.a]->zone_domain(),
+                                               sites_[ec.b]->zone_domain(),
+                                               site_names_[ec.a] + "-" + site_names_[ec.b], ec.wan);
     edges_.push_back(std::move(edge));
   }
 
+  // Initial routes treat every link as alive, even one whose schedule
+  // partitions it at time 0.
+  const plan::SiteGraph mesh = route_graph(/*live_only=*/false);
   routes_.assign(n, std::vector<std::vector<std::size_t>>(n));
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      if (i != j) {
-        routes_[i][j] = bfs_route(i, j, [](const Edge&) { return true; });
-      }
+      routes_[i][j] = mesh.route(i, j, 0.0);
     }
   }
   install_fabric_routes();
 }
 
-template <typename AliveFn>
-std::vector<std::size_t> Federation::bfs_route(std::size_t from, std::size_t to,
-                                               AliveFn alive) const {
-  constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> parent_edge(sites_.size(), kUnvisited);
-  std::vector<bool> seen(sites_.size(), false);
-  std::vector<std::size_t> frontier{from};
-  seen[from] = true;
-  while (!frontier.empty() && !seen[to]) {
-    std::vector<std::size_t> next;
-    for (std::size_t site : frontier) {
-      for (std::size_t e = 0; e < edges_.size(); ++e) {
-        const Edge& edge = edges_[e];
-        if (!alive(edge)) {
-          continue;
-        }
-        std::size_t far;
-        if (edge.a == site) {
-          far = edge.b;
-        } else if (edge.b == site) {
-          far = edge.a;
-        } else {
-          continue;
-        }
-        if (seen[far]) {
-          continue;
-        }
-        seen[far] = true;
-        parent_edge[far] = e;
-        next.push_back(far);
-      }
-    }
-    frontier = std::move(next);
+plan::SiteGraph Federation::route_graph(bool live_only) const {
+  plan::SiteGraph graph;
+  graph.sites.resize(sites_.size());
+  for (const Edge& edge : edges_) {
+    const bool up = !live_only || !edge.link->partitioned();
+    graph.edges.push_back({edge.a, edge.b, up ? 1.0 : 0.0, {}});
   }
-  if (!seen[to]) {
-    return {};
-  }
-  std::vector<std::size_t> hops;
-  for (std::size_t site = to; site != from;) {
-    std::size_t e = parent_edge[site];
-    hops.push_back(e);
-    site = edges_[e].a == site ? edges_[e].b : edges_[e].a;
-  }
-  std::reverse(hops.begin(), hops.end());
-  return hops;
+  return graph;
 }
 
 void Federation::install_fabric_routes() {
@@ -172,13 +136,10 @@ void Federation::install_fabric_routes() {
 }
 
 void Federation::recompute_routes() {
+  const plan::SiteGraph mesh = route_graph(/*live_only=*/true);
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     for (std::size_t j = 0; j < sites_.size(); ++j) {
-      if (i == j) {
-        continue;
-      }
-      std::vector<std::size_t> live =
-          bfs_route(i, j, [](const Edge& e) { return !e.link->partitioned(); });
+      std::vector<std::size_t> live = mesh.route(i, j, 0.0);
       if (!live.empty()) {
         routes_[i][j] = std::move(live);
       }

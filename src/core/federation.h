@@ -8,7 +8,7 @@
 // endpoint pair (whose CapPolicy folds the latency/bandwidth/loss model
 // into the published ghost caps — DESIGN.md §7) and the ingress site's
 // uplink, and finally the destination's rx. Routes are fewest-hops over
-// the edge mesh, computed with a deterministic BFS at construction and
+// the edge mesh, computed by plan::SiteGraph::route at construction and
 // re-computable against the live mesh after partitions
 // (recompute_routes()). Determinism is inherited wholesale: one event
 // queue, canonical-order commits, timelines bit-identical at every
@@ -131,7 +131,7 @@ class Federation {
   /// set_secondary_resolver so migration plans may name peer-site hosts.
   [[nodiscard]] vmm::Monitor::HostResolver resolver();
   /// The domain owning `res`, across every site (nullptr when foreign).
-  [[nodiscard]] sim::FluidDomain* domain_of(const sim::FluidResource& res) {
+  [[nodiscard]] sim::FluidScheduler* domain_of(const sim::FluidResource& res) {
     return net_.domain_of(res);
   }
 
@@ -158,18 +158,17 @@ class Federation {
     std::unique_ptr<sim::WanLink> link;
   };
 
-  /// Fewest-hops BFS over the edge subset for which `alive(e)` holds;
-  /// deterministic (neighbours in edge-index order).
-  template <typename AliveFn>
-  [[nodiscard]] std::vector<std::size_t> bfs_route(std::size_t from, std::size_t to,
-                                                   AliveFn alive) const;
+  /// The mesh as a routing graph for plan::SiteGraph::route (fewest hops,
+  /// neighbours in edge-index order): every edge has capacity 1, except
+  /// that with `live_only` an edge whose WanLink is partitioned has 0.
+  [[nodiscard]] plan::SiteGraph route_graph(bool live_only) const;
   /// Registers routes_[i][j] into the sites' eth fabrics.
   void install_fabric_routes();
 
   FederationConfig config_;
   sim::Simulation sim_;
-  // Destroyed after everything below: the net's pool detaches schedulers
-  // and joins workers while the simulation is alive.
+  // Destroyed after everything below: the net's pool joins its workers and
+  // removes its settle hook while the simulation is alive.
   sim::FluidNet net_;
   std::unique_ptr<vmm::SharedStorage> storage_;
   std::vector<std::string> site_names_;

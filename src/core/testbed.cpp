@@ -48,14 +48,13 @@ void Testbed::build() {
   init_shards();
   if (storage_ == nullptr) {
     owned_storage_ =
-        std::make_unique<vmm::SharedStorage>(*net_, zone_domain().scheduler(), prefix_ + "agc");
+        std::make_unique<vmm::SharedStorage>(*net_, zone_domain(), prefix_ + "agc");
     storage_ = owned_storage_.get();
   }
   ib_fabric_ = std::make_unique<net::IbFabric>(*net_, prefix_ + "ib:m3601q", config_.ib);
   eth_fabric_ = std::make_unique<net::EthFabric>(*net_, prefix_ + "eth:m8024", config_.eth);
   if (config_.clos.enabled()) {
-    clos_ = std::make_unique<net::ClosFabric>(zone_domain().scheduler(), prefix_ + "clos",
-                                              config_.clos);
+    clos_ = std::make_unique<net::ClosFabric>(zone_domain(), prefix_ + "clos", config_.clos);
     NM_CHECK(clos_->host_ports() >= config_.ib_nodes + config_.eth_nodes,
              prefix_ << "clos: " << clos_->host_ports() << " host ports < "
                      << config_.ib_nodes + config_.eth_nodes << " blades");
@@ -65,7 +64,7 @@ void Testbed::build() {
   auto make_host = [&](hw::Cluster& cluster, const std::string& name, bool with_hca) {
     hw::NodeSpec spec = config_.blade_spec;
     spec.name = name;
-    sim::FluidDomain& home =
+    sim::FluidScheduler& home =
         config_.blade_domains ? net_->add_domain("blade:" + name) : zone_domain();
     auto& node = cluster.add_node(home, spec);
     auto host = std::make_unique<vmm::Host>(*sim_, *net_, node, *storage_, config_.hotplug,

@@ -43,7 +43,7 @@ struct TestbedConfig {
   net::ClosConfig clos;
   /// SR-IOV virtual functions per HCA (1 = plain PCI passthrough).
   int hca_vfs = 1;
-  /// Number of FluidDomain shards the testbed's FluidNet starts with. With
+  /// Number of fluid domains (shards) the testbed's FluidNet starts with. With
   /// blade_domains off the whole (fully connected) enclosure lands on
   /// domain 0 and the remaining shards are free for caller-built disjoint
   /// zones. Timelines are bit-identical at every shard count
@@ -93,11 +93,11 @@ class Testbed {
   /// its resources, registering cross-domain specs as boundary flows.
   [[nodiscard]] sim::FluidNet& net() { return *net_; }
   /// The domain owning `res` (nullptr when unregistered or foreign).
-  [[nodiscard]] sim::FluidDomain* domain_of(const sim::FluidResource& res) {
+  [[nodiscard]] sim::FluidScheduler* domain_of(const sim::FluidResource& res) {
     return net_->domain_of(res);
   }
   [[nodiscard]] std::size_t domain_count() const { return net_->domain_count(); }
-  [[nodiscard]] sim::FluidDomain& domain(std::size_t i) { return net_->domain(i); }
+  [[nodiscard]] sim::FluidScheduler& domain(std::size_t i) { return net_->domain(i); }
   /// The settle pool every fluid domain settles through. Never null.
   [[nodiscard]] sim::SolvePool* solve_pool() { return net_->pool(); }
   [[nodiscard]] net::IbFabric& ib_fabric() { return *ib_fabric_; }
@@ -111,7 +111,7 @@ class Testbed {
   /// The domain holding this testbed's shared resources (fabrics, NFS):
   /// domain 0 standalone, this site's first domain under a federation. A
   /// WAN link's endpoint for this site registers here.
-  [[nodiscard]] sim::FluidDomain& zone_domain() { return net_->domain(zone_index_); }
+  [[nodiscard]] sim::FluidScheduler& zone_domain() { return net_->domain(zone_index_); }
   /// "<site>:" under a federation, empty standalone.
   [[nodiscard]] const std::string& name_prefix() const { return prefix_; }
 
@@ -160,7 +160,7 @@ class Testbed {
 
   TestbedConfig config_;
   // Standalone mode owns these; a federated testbed aliases the
-  // federation's. Declared net-after-sim so destruction detaches the pool
+  // federation's. Declared net-after-sim so destruction tears down the pool
   // (joining workers, removing the kernel hook) while the simulation is
   // alive — same invariant as before the Federation split.
   std::unique_ptr<sim::Simulation> owned_sim_;

@@ -21,11 +21,6 @@ class Cluster {
     nodes_.push_back(std::make_unique<Node>(scheduler, std::move(spec)));
     return *nodes_.back();
   }
-  /// Domain-aware placement: the node's resources land on the domain's
-  /// scheduler (see sim::FluidDomain for the connectivity constraint).
-  Node& add_node(sim::FluidDomain& domain, NodeSpec spec) {
-    return add_node(domain.scheduler(), std::move(spec));
-  }
 
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] Node& node(std::size_t i) {

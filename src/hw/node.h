@@ -30,10 +30,6 @@ class Node {
       : scheduler_(&scheduler),
         spec_(std::move(spec)),
         cpu_(scheduler, "cpu:" + spec_.name, spec_.cores) {}
-  /// Places the node's resources on the domain's scheduler. Every resource
-  /// a flow of this node can cross (its NIC ports, fabrics it attaches to,
-  /// storage it mounts) must live in the same domain.
-  Node(sim::FluidDomain& domain, NodeSpec spec) : Node(domain.scheduler(), std::move(spec)) {}
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 

@@ -19,9 +19,10 @@ constexpr double kEpsilon = 1e-6;
 
 // --- FluidResource ---------------------------------------------------------
 
-FluidResource::FluidResource(FluidScheduler& scheduler, std::string name, double capacity)
-    : FluidResource(std::move(name), capacity) {
-  scheduler.register_resource(*this);
+FluidResource::FluidResource(FluidScheduler& owner, std::string name, double capacity)
+    : name_(std::move(name)), capacity_(capacity) {
+  NM_CHECK(capacity >= 0.0, "negative capacity for " << name_);
+  owner.register_resource(*this);
 }
 
 FluidResource::~FluidResource() {
@@ -33,7 +34,7 @@ FluidResource::~FluidResource() {
 void FluidResource::set_capacity(double capacity) {
   NM_CHECK(capacity >= 0.0, "negative capacity for " << name_);
   capacity_ = capacity;
-  if (scheduler_ != nullptr && slot_ != kNoSlot) {
+  if (scheduler_ != nullptr) {
     if (auto* comp = scheduler_->component_of_slot(slot_)) {
       scheduler_->mark_dirty(*comp);
     }
@@ -127,13 +128,15 @@ void Flow::resume() {
 
 // --- FluidScheduler: lifecycle and registry --------------------------------
 
+FluidScheduler::FluidScheduler(SolvePool& pool, std::string name)
+    : sim_(pool.sim_),
+      name_(std::move(name)),
+      pool_(&pool),
+      pool_domain_(static_cast<std::uint32_t>(pool.attached_.size())) {
+  pool.attached_.push_back(this);
+}
+
 FluidScheduler::~FluidScheduler() {
-  if (pool_ != nullptr) {
-    pool_->detach(*this);
-  }
-  if (settle_hook_ != 0) {
-    sim_->remove_settle_hook(settle_hook_);
-  }
   for (auto* res : res_slots_) {
     if (res != nullptr) {
       // Fold the pending constant-rate window into the prefix while the
@@ -141,7 +144,6 @@ FluidScheduler::~FluidScheduler() {
       res->consumed_ = res->consumed();
       res->consume_rate_ = 0.0;
       res->scheduler_ = nullptr;
-      res->slot_ = FluidResource::kNoSlot;
     }
   }
   for (auto& flow : flows_) {
@@ -151,11 +153,6 @@ FluidScheduler::~FluidScheduler() {
 }
 
 void FluidScheduler::register_resource(FluidResource& res) {
-  NM_CHECK(res.scheduler_ == nullptr || res.scheduler_ == this,
-           "resource " << res.name_ << " belongs to another scheduler");
-  if (res.slot_ != FluidResource::kNoSlot) {
-    return;
-  }
   res.scheduler_ = this;
   if (!free_res_slots_.empty()) {
     res.slot_ = free_res_slots_.back();
@@ -172,10 +169,6 @@ void FluidScheduler::unregister_resource(FluidResource& res) {
   const auto slot = res.slot_;
   res.consumed_ = res.consumed();  // fold before the clock becomes unreachable
   res.consume_rate_ = 0.0;
-  if (slot == FluidResource::kNoSlot) {
-    res.scheduler_ = nullptr;
-    return;
-  }
   if (auto* comp = component_of_slot(slot)) {
     auto& rs = comp->res_slots;
     const auto it = std::find(rs.begin(), rs.end(), slot);
@@ -188,7 +181,6 @@ void FluidScheduler::unregister_resource(FluidResource& res) {
   slot_comp_[slot] = kNone;
   res_slots_[slot] = nullptr;
   free_res_slots_.push_back(slot);
-  res.slot_ = FluidResource::kNoSlot;
   res.scheduler_ = nullptr;
 }
 
@@ -202,7 +194,8 @@ FlowPtr FluidScheduler::start(FlowSpec spec) {
   for (const auto& share : spec.shares) {
     NM_CHECK(share.resource != nullptr, "null resource in flow");
     NM_CHECK(share.weight > 0.0, "non-positive weight on " << share.resource->name());
-    register_resource(*share.resource);
+    NM_CHECK(share.resource->scheduler_ == this,
+             "resource " << share.resource->name() << " belongs to another scheduler");
   }
   // One allocation per flow: make_shared fuses the control block with the
   // (64-byte aligned) Flow. The local subclass just re-exports the private
@@ -328,41 +321,13 @@ void FluidScheduler::mark_dirty(Component& comp) {
   }
   // Re-solve at the end of the current instant, before any simulated time
   // passes: rates are continuous in time, so deferring is exact and batches
-  // every mutation made at this instant into one solve. An attached pool
-  // batches the marks of all its domains into one (parallel) settle.
-  if (pool_ != nullptr) {
-    pool_->notify_dirty(*this);
-    return;
-  }
-  if (settle_hook_ == 0) {
-    settle_hook_ = sim_->add_settle_hook([this] { settle_dirty(); });
-  }
-  sim_->request_settle();
-}
-
-void FluidScheduler::settle_dirty() {
-  if (dirty_comps_.empty()) {
-    return;  // another model requested this settle
-  }
-  // Ascending component id: the SolvePool's canonical order, so a bare
-  // scheduler and a one-domain pool post their timers and completions
-  // identically. Marks usually arrive ascending already.
-  if (!std::is_sorted(dirty_comps_.begin(), dirty_comps_.end())) {
-    std::sort(dirty_comps_.begin(), dirty_comps_.end());
-  }
-  for (std::size_t i = 0; i < dirty_comps_.size(); ++i) {
-    const auto id = dirty_comps_[i];
-    auto* comp = id < comps_.size() ? comps_[id].get() : nullptr;
-    if (comp != nullptr && comp->dirty) {
-      solve_component(*comp);
-    }
-  }
-  dirty_comps_.clear();
-  maybe_rebuild();
+  // every mutation made at this instant into one solve. The pool batches
+  // the marks of all its domains into one (parallel) settle.
+  pool_->notify_dirty(*this);
 }
 
 void FluidScheduler::ensure_settled(const Flow& flow) {
-  if (pool_ != nullptr && pool_->exchange_active()) {
+  if (pool_->exchange_active()) {
     // Boundary flows couple domains: dirt anywhere in the pool can move
     // this flow's rate through the ghost-capacity exchange even while its
     // own component is clean (e.g. a foreign capacity change releases a

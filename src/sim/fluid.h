@@ -64,15 +64,12 @@ class CapPolicy {
 };
 
 /// A capacity-bearing resource. Units are caller-defined (cores, bytes/s).
-/// A resource registers with exactly one scheduler — eagerly when
-/// constructed with one (preferred: gives it a stable dense index up
-/// front), or lazily on the first flow that crosses it.
+/// A resource registers with its owning scheduler at construction, which
+/// gives it a stable dense index; only flows of that scheduler (or
+/// boundary flows of the owning FluidNet) may cross it.
 class FluidResource {
  public:
-  FluidResource(std::string name, double capacity) : name_(std::move(name)), capacity_(capacity) {
-    NM_CHECK(capacity >= 0.0, "negative capacity for " << name_);
-  }
-  FluidResource(FluidScheduler& scheduler, std::string name, double capacity);
+  FluidResource(FluidScheduler& owner, std::string name, double capacity);
   ~FluidResource();
   FluidResource(const FluidResource&) = delete;
   FluidResource& operator=(const FluidResource&) = delete;
@@ -107,7 +104,6 @@ class FluidResource {
  private:
   friend class FluidScheduler;
   friend class FluidNet;
-  static constexpr std::uint32_t kNoSlot = 0xffffffffU;
 
   std::string name_;
   double capacity_;
@@ -135,8 +131,9 @@ class FluidResource {
   TimePoint rate_since_;
   FluidScheduler* scheduler_ = nullptr;
   CapPolicy* cap_policy_ = nullptr;
-  /// Stable dense index in the owning scheduler's resource registry.
-  std::uint32_t slot_ = kNoSlot;
+  /// Stable dense index in the owning scheduler's resource registry
+  /// (meaningful while scheduler_ is set).
+  std::uint32_t slot_ = 0;
 };
 
 /// One resource crossed by a flow, with the flow's consumption weight on it
@@ -296,19 +293,35 @@ class FlowRouter {
   [[nodiscard]] Task run(FlowSpec spec);
 };
 
+/// A topology shard: one independently-solved fluid domain over the shared
+/// simulation clock. Only FluidNet::add_domain creates one, attached to the
+/// net's SolvePool, which settles every domain of the net. When the
+/// partition follows the modelled topology's connectivity (no flow ever
+/// spans domains) the split is exact: rates in one domain never depend on
+/// another domain's state, and every domain's timers drain through the one
+/// simulation's (time, sequence) event queue, so the merged timeline is
+/// bit-identical for every valid partitioning. Flows that do span domains
+/// are admitted through FluidNet as boundary flows: the settle-time
+/// ghost-capacity exchange couples the domains' solves and converges to
+/// the same max-min rates one merged domain would compute — see DESIGN.md
+/// §6. Resources of distinct domains may be constructed from distinct
+/// threads (each touches only its own domain's registry; the shared
+/// Simulation takes no posts) — see bench_scalability and
+/// sim_sharding_test.
 class FluidScheduler : public FlowRouter {
  public:
-  explicit FluidScheduler(Simulation& sim) : sim_(&sim) {}
   ~FluidScheduler() override;
   FluidScheduler(const FluidScheduler&) = delete;
   FluidScheduler& operator=(const FluidScheduler&) = delete;
 
   [[nodiscard]] Simulation& simulation() override { return *sim_; }
+  /// The domain name given to FluidNet::add_domain.
+  [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Starts a flow described by `spec`. A zero-work flow completes
-  /// immediately. Every resource must outlive the flow; every resource must
-  /// be unowned or owned by this scheduler (a spec that spans schedulers
-  /// must go through FluidNet, which owns the boundary-flow machinery).
+  /// immediately. Every resource must outlive the flow and be owned by this
+  /// scheduler (a spec that spans domains must go through FluidNet, which
+  /// owns the boundary-flow machinery).
   FlowPtr start(FlowSpec spec) override;
   using FlowRouter::run;
 
@@ -323,6 +336,10 @@ class FluidScheduler : public FlowRouter {
   friend class SolvePool;
 
   static constexpr std::uint32_t kNone = 0xffffffffU;
+
+  /// Attaches the new domain to `pool` (and its simulation); attach order
+  /// is the domain's canonical id.
+  FluidScheduler(SolvePool& pool, std::string name);
 
   /// A connected component of the flow/resource bipartite graph: the unit
   /// of incremental re-solving. `gen` invalidates its outstanding
@@ -367,10 +384,11 @@ class FluidScheduler : public FlowRouter {
   };
 
   /// Scratch for the pure compute phase of a solve, owned per worker (and
-  /// once per scheduler for the serial path). Rows are slot-indexed into
-  /// the owning scheduler's resource registry and initialized per component
-  /// before use, so one scratch can serve components from any scheduler —
-  /// it only ever needs to be grown, never cleared.
+  /// once per scheduler for ensure_settled's serial path). Rows are
+  /// slot-indexed into the owning scheduler's resource registry and
+  /// initialized per component before use, so one scratch can serve
+  /// components from any scheduler — it only ever needs to be grown, never
+  /// cleared.
   struct SolveScratch {
     // Slot-indexed rows, addressed through comp.res_slots[local].
     std::vector<double> res_residual;
@@ -419,14 +437,12 @@ class FluidScheduler : public FlowRouter {
   /// Merges `src` into `dst` (flows, resources, dirtiness) and retires it.
   void merge_into(Component& dst, Component& src);
   void mark_dirty(Component& comp);
-  /// The unattached scheduler's settle hook: solves every dirty component
-  /// in ascending id order, then considers a component rebuild.
-  void settle_dirty();
   /// Brings one flow's component up to date (getter entry point).
   void ensure_settled(const Flow& flow);
 
   /// Integrate + complete + re-solve + re-arm timer for one component:
-  /// compute_component + commit_component back to back (the serial path).
+  /// compute_component + commit_component back to back (ensure_settled's
+  /// serial path).
   void solve_component(Component& comp);
   /// The pure compute phase of a solve: integrates progress, detects
   /// completions, compacts the component's flow list, and re-solves rates
@@ -474,6 +490,7 @@ class FluidScheduler : public FlowRouter {
   void retire_flow_global(Flow& flow);
 
   Simulation* sim_;
+  std::string name_;
   std::vector<FlowPtr> flows_;
 
   // Resource registry: stable dense slots, free-listed on unregister.
@@ -487,54 +504,21 @@ class FluidScheduler : public FlowRouter {
   std::size_t live_comp_count_ = 0;
 
   // Deferred settling: mutations and completion timers mark components
-  // dirty and arm the kernel's end-of-instant settle hook, so every
-  // component dirtied at one simulated instant is re-solved once, in
-  // ascending component id, before the clock advances. An attached
-  // SolvePool owns that hook (batching all its domains into one settle);
-  // an unattached scheduler registers its own on the first mark.
+  // dirty and notify the pool, whose end-of-instant settle hook re-solves
+  // every component dirtied at one simulated instant once, in canonical
+  // (domain id, component id) order, before the clock advances.
   std::vector<std::uint32_t> dirty_comps_;
-  std::uint64_t settle_hook_ = 0;  // own hook id; 0 when none is registered
-  SolvePool* pool_ = nullptr;
-  bool pool_dirty_ = false;       // this scheduler has unsettled components
-  std::uint32_t pool_domain_ = 0;  // attach order = canonical domain id
+  SolvePool* pool_;
+  std::uint32_t pool_domain_;      // attach order = canonical domain id
+  bool pool_dirty_ = false;        // this scheduler has unsettled components
 
-  // Solve scratch/result for the serial path (ensure_settled, and
-  // settle_dirty when no pool is attached).
+  // Solve scratch/result for ensure_settled's serial path.
   SolveScratch serial_scratch_;
   SolveResult serial_result_;
 
   std::size_t retired_since_rebuild_ = 0;
   std::uint32_t next_gen_ = 0;
   std::uint64_t next_flow_seq_ = 0;
-};
-
-/// A topology shard: one independently-solved FluidScheduler over a shared
-/// simulation clock. When the partition follows the modelled topology's
-/// connectivity (no flow ever spans domains) the split is exact: rates in
-/// one domain never depend on another domain's state, and every domain's
-/// timers drain through the one simulation's (time, sequence) event queue,
-/// so the merged timeline is bit-identical for every valid partitioning.
-/// Flows that do span domains are admitted through FluidNet (fluid_net.h)
-/// as boundary flows: the settle-time ghost-capacity exchange couples the
-/// domains' solves and converges to the same max-min rates the merged
-/// scheduler would compute — see DESIGN.md §6. Either way domains are safe
-/// to construct in parallel (each worker thread touches only its own
-/// scheduler; the shared Simulation takes no posts during the parallel
-/// phase) — see bench_scalability and sim_sharding_test.
-class FluidDomain {
- public:
-  FluidDomain(Simulation& sim, std::string name)
-      : name_(std::move(name)), scheduler_(std::make_unique<FluidScheduler>(sim)) {}
-
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] FluidScheduler& scheduler() { return *scheduler_; }
-  [[nodiscard]] Simulation& simulation() { return scheduler_->simulation(); }
-
- private:
-  std::string name_;
-  // unique_ptr so resources keep a stable scheduler address if the owning
-  // container of domains reallocates.
-  std::unique_ptr<FluidScheduler> scheduler_;
 };
 
 }  // namespace nm::sim

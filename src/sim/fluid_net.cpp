@@ -45,51 +45,39 @@ FluidNet::FluidNet(Simulation& sim, int workers)
   pool_->set_exchange(this);
 }
 
-FluidDomain& FluidNet::add_domain(std::string name) {
-  domains_.push_back(std::make_unique<FluidDomain>(*sim_, std::move(name)));
-  pool_->attach(domains_.back()->scheduler());
+FluidScheduler& FluidNet::add_domain(std::string name) {
+  // The constructor is private to FluidNet, so make_unique cannot reach it.
+  domains_.push_back(std::unique_ptr<FluidScheduler>(new FluidScheduler(*pool_, std::move(name))));
   return *domains_.back();
 }
 
-FluidDomain& FluidNet::domain(std::size_t index) {
+FluidScheduler& FluidNet::domain(std::size_t index) {
   NM_CHECK(index < domains_.size(), "domain index " << index << " out of range");
   return *domains_[index];
 }
 
-FluidDomain* FluidNet::domain_of(const FluidResource& res) {
-  for (auto& dom : domains_) {
-    if (&dom->scheduler() == res.scheduler_) {
-      return dom.get();
-    }
-  }
-  return nullptr;
+FluidScheduler* FluidNet::domain_of(const FluidResource& res) {
+  // A domain belongs to this net exactly when it settles through its pool.
+  FluidScheduler* owner = res.scheduler_;
+  return owner != nullptr && owner->pool_ == pool_.get() ? owner : nullptr;
 }
 
 FlowPtr FluidNet::start(FlowSpec spec) {
-  NM_CHECK(!domains_.empty(), "FluidNet has no domains");
   NM_CHECK(!spec.shares.empty(), "a flow must cross at least one resource");
 
-  // Home = owning domain of the first owned resource (matching the
-  // first-touch lazy registration FluidScheduler::start applies to the
-  // unowned ones); an all-unowned spec homes into domain 0.
+  // Home = the domain owning the first resource.
   FluidScheduler* home = nullptr;
   bool cross = false;
   for (const auto& share : spec.shares) {
     NM_CHECK(share.resource != nullptr, "null resource in flow");
-    FluidScheduler* owner = share.resource->scheduler_;
-    if (owner == nullptr) {
-      continue;
-    }
-    NM_CHECK(domain_of(*share.resource) != nullptr,
+    FluidScheduler* owner = domain_of(*share.resource);
+    NM_CHECK(owner != nullptr,
              "resource " << share.resource->name() << " is owned outside this FluidNet");
     if (home == nullptr) {
       home = owner;
     } else if (owner != home) {
       cross = true;
     }
-  }
-  if (home == nullptr) {
-    home = &domains_.front()->scheduler();
   }
   if (!cross) {
     return home->start(std::move(spec));
@@ -102,7 +90,7 @@ FlowPtr FluidNet::start(FlowSpec spec) {
   std::vector<std::pair<FluidScheduler*, std::vector<ResourceShare>>> foreign;
   for (const auto& share : spec.shares) {
     FluidScheduler* owner = share.resource->scheduler_;
-    if (owner == nullptr || owner == home) {
+    if (owner == home) {
       home_shares.push_back(share);
       continue;
     }

@@ -1,10 +1,10 @@
-// FluidNet: the domain-aware flow façade. It owns a set of FluidDomains
-// (topology shards, each an independently-solved FluidScheduler on the
-// shared clock) and routes every FlowSpec to the domain owning its
-// resources. A spec whose resources span domains becomes a *boundary
-// flow*: the flow itself lives in its home domain, and each foreign domain
-// hosts a ghost flow mirroring the boundary flow's demand onto the foreign
-// resources it crosses.
+// FluidNet: the domain-aware flow façade and the one owner of fluid state.
+// It owns a set of domains (topology shards, each an independently-solved
+// FluidScheduler on the shared clock, settled by the net's SolvePool) and
+// routes every FlowSpec to the domain owning its resources. A spec whose
+// resources span domains becomes a *boundary flow*: the flow itself lives
+// in its home domain, and each foreign domain hosts a ghost flow mirroring
+// the boundary flow's demand onto the foreign resources it crosses.
 //
 // The coupling runs at settle points, driven by the SolvePool (see
 // solve_pool.h): after each parallel compute round the net publishes every
@@ -38,20 +38,20 @@ class FluidNet final : public FlowRouter, private SettleExchange {
   FluidNet(const FluidNet&) = delete;
   FluidNet& operator=(const FluidNet&) = delete;
 
-  /// Adds a topology shard. Add every domain before starting flows (pool
-  /// attachment requires schedulers with no pending settles).
-  FluidDomain& add_domain(std::string name);
+  /// Adds a topology shard: the only way to create a FluidScheduler. The
+  /// domain attaches to this net's pool at once; its id is the add order.
+  FluidScheduler& add_domain(std::string name);
   [[nodiscard]] std::size_t domain_count() const { return domains_.size(); }
-  [[nodiscard]] FluidDomain& domain(std::size_t index);
-  /// The domain owning `res`, or nullptr when the resource is unregistered
-  /// or owned by a scheduler outside this net.
-  [[nodiscard]] FluidDomain* domain_of(const FluidResource& res);
+  [[nodiscard]] FluidScheduler& domain(std::size_t index);
+  /// The domain owning `res`, or nullptr when the resource's domain is
+  /// gone or belongs to another net.
+  [[nodiscard]] FluidScheduler* domain_of(const FluidResource& res);
 
   [[nodiscard]] Simulation& simulation() override { return *sim_; }
 
-  /// Routes `spec` to the domain owning its resources (unowned resources
-  /// register into the home domain, first-touch). A spec spanning domains
-  /// starts a boundary flow: the returned handle is the home flow — its
+  /// Routes `spec` to the domain owning its resources; every resource must
+  /// be owned by a domain of this net. A spec spanning domains starts a
+  /// boundary flow: the returned handle is the home flow — its
   /// rate/remaining/completion behave exactly like a local flow's, while
   /// ghost flows mirror its consumption into the foreign domains.
   FlowPtr start(FlowSpec spec) override;
@@ -109,14 +109,14 @@ class FluidNet final : public FlowRouter, private SettleExchange {
                    std::vector<std::pair<FluidScheduler*, std::uint32_t>>& dirtied);
 
   Simulation* sim_;
-  std::vector<std::unique_ptr<FluidDomain>> domains_;
+  /// Declared before the domains: the pool outlives every scheduler
+  /// attached to it.
+  std::unique_ptr<SolvePool> pool_;
+  std::vector<std::unique_ptr<FluidScheduler>> domains_;
   /// Registration order is the exchange's iteration order (deterministic,
   /// independent of worker count).
   std::vector<BoundaryFlow> boundary_;
   std::size_t exchange_skips_ = 0;
-  /// Declared last: destroyed first, detaching every scheduler before any
-  /// domain (and the flows it still tracks) goes away.
-  std::unique_ptr<SolvePool> pool_;
 };
 
 }  // namespace nm::sim

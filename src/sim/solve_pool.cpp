@@ -17,11 +17,6 @@ SolvePool::SolvePool(Simulation& sim, int workers) : sim_(&sim) {
 }
 
 SolvePool::~SolvePool() {
-  for (auto* sched : attached_) {
-    if (sched != nullptr) {
-      detach(*sched);
-    }
-  }
   sim_->remove_settle_hook(hook_id_);
   {
     std::lock_guard<std::mutex> lk(mutex_);
@@ -33,27 +28,9 @@ SolvePool::~SolvePool() {
   }
 }
 
-void SolvePool::attach(FluidScheduler& scheduler) {
-  NM_CHECK(scheduler.pool_ == nullptr, "scheduler already attached to a pool");
-  NM_CHECK(scheduler.sim_ == sim_, "scheduler runs on a different simulation");
-  NM_CHECK(scheduler.settle_hook_ == 0 && scheduler.dirty_comps_.empty(),
-           "attach the pool before the scheduler settles on its own");
-  scheduler.pool_ = this;
-  scheduler.pool_dirty_ = false;
-  scheduler.pool_domain_ = static_cast<std::uint32_t>(attached_.size());
-  attached_.push_back(&scheduler);
-}
-
-void SolvePool::detach(FluidScheduler& scheduler) {
-  NM_CHECK(scheduler.pool_ == this, "scheduler not attached to this pool");
-  attached_[scheduler.pool_domain_] = nullptr;
-  scheduler.pool_ = nullptr;
-  scheduler.pool_dirty_ = false;
-}
-
 bool SolvePool::any_dirty() const {
   for (const auto* sched : attached_) {
-    if (sched != nullptr && sched->pool_dirty_) {
+    if (sched->pool_dirty_) {
       return true;
     }
   }
@@ -75,7 +52,7 @@ void SolvePool::settle() {
   tasks_.clear();
   for (std::uint32_t domain = 0; domain < attached_.size(); ++domain) {
     FluidScheduler* sched = attached_[domain];
-    if (sched == nullptr || !sched->pool_dirty_) {
+    if (!sched->pool_dirty_) {
       continue;
     }
     sched->pool_dirty_ = false;

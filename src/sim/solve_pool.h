@@ -3,11 +3,11 @@
 // event schedule.
 //
 // How it keeps the timeline bit-identical to the single-threaded run:
-//   1. Attached schedulers route mark_dirty (and completion-timer
-//      firings) to the pool, which arms its kernel settle hook in place of
-//      theirs. The hook runs at the end of the simulated instant, so every
-//      component dirtied at that instant — across all domains — is
-//      collected into one batch.
+//   1. Every scheduler (a FluidNet domain, attached at construction) routes
+//      mark_dirty (and completion-timer firings) to the pool, which arms
+//      its kernel settle hook. The hook runs at the end of the simulated
+//      instant, so every component dirtied at that instant — across all
+//      domains — is collected into one batch.
 //   2. The batch is sorted by (domain id, component id) — a canonical
 //      order independent of mark order and of worker count.
 //   3. Workers (plus the simulation thread) run only the *pure compute*
@@ -57,20 +57,13 @@ class SolvePool {
   /// Spawns `workers` persistent threads (>= 0; with 0 the simulation
   /// thread computes every batch itself — the pool then only provides the
   /// settle-hook batching and the exchange loop) and registers the settle
-  /// hook with `sim`. The pool must outlive no scheduler attached to it and
-  /// must be destroyed before `sim`.
+  /// hook with `sim`. Schedulers attach themselves at construction (see
+  /// FluidNet::add_domain); the pool must outlive every one of them and be
+  /// destroyed before `sim`.
   SolvePool(Simulation& sim, int workers);
   ~SolvePool();
   SolvePool(const SolvePool&) = delete;
   SolvePool& operator=(const SolvePool&) = delete;
-
-  /// Takes over settling for `scheduler`. Attach order defines the
-  /// scheduler's canonical domain id. Must happen before the scheduler has
-  /// any pending settle (i.e. right after construction).
-  void attach(FluidScheduler& scheduler);
-  /// Teardown only: a detached scheduler settles through its own hook
-  /// again from its next dirty mark.
-  void detach(FluidScheduler& scheduler);
 
   /// Registers (or clears, with nullptr) the cross-domain exchange driver.
   void set_exchange(SettleExchange* exchange) { exchange_ = exchange; }
@@ -143,7 +136,7 @@ class SolvePool {
 
   Simulation* sim_;
   std::uint64_t hook_id_ = 0;
-  /// Attach-ordered; detach leaves a null hole so domain ids stay stable.
+  /// Attach-ordered: index = canonical domain id.
   std::vector<FluidScheduler*> attached_;
   SettleExchange* exchange_ = nullptr;
 

@@ -25,11 +25,6 @@ class SharedStorage {
       : router_(&router),
         name_(std::move(name)),
         throughput_(home, "nfs:" + name_, throughput.bytes_per_second()) {}
-  /// Single-domain storage: the scheduler both homes the resource and
-  /// routes the IO flows.
-  SharedStorage(sim::FluidScheduler& scheduler, std::string name,
-                Bandwidth throughput = Bandwidth::mib_per_sec(300))
-      : SharedStorage(scheduler, scheduler, std::move(name), throughput) {}
   SharedStorage(const SharedStorage&) = delete;
   SharedStorage& operator=(const SharedStorage&) = delete;
 

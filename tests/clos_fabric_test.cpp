@@ -19,6 +19,7 @@
 #include "hw/node.h"
 #include "net/clos_fabric.h"
 #include "net/port.h"
+#include "sim/fluid_net.h"
 #include "sim/simulation.h"
 
 namespace nm::net {
@@ -26,7 +27,8 @@ namespace {
 
 struct TestBed {
   sim::Simulation sim;
-  sim::FluidScheduler sched{sim};
+  sim::FluidNet net{sim};
+  sim::FluidScheduler& sched = net.add_domain("d");
 };
 
 ClosConfig random_two_tier(std::mt19937_64& rng) {

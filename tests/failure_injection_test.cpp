@@ -60,7 +60,7 @@ TEST(FailureInjection, UnknownDestinationHostAbortsEpisode) {
 TEST(FailureInjection, MigrationToHostWithoutSharedStorageRefused) {
   // Hand-build a 17th host on separate storage: live migration must refuse.
   Testbed tb;
-  vmm::SharedStorage other_storage(tb.domain(0).scheduler(), "other-site");
+  vmm::SharedStorage other_storage(tb.net(), tb.domain(0), "other-site");
   hw::Cluster other_cluster("other");
   auto& node = other_cluster.add_node(tb.domain(0), [] {
     hw::NodeSpec spec;

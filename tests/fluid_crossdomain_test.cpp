@@ -84,7 +84,8 @@ TopoDesc random_topo(std::mt19937& rng, bool finite_work) {
 
 struct MergedTopo {
   Simulation sim;
-  FluidScheduler sched{sim};
+  FluidNet net{sim};
+  FluidScheduler& sched = net.add_domain("merged");
   std::vector<std::unique_ptr<FluidResource>> res;
   std::vector<FlowPtr> flows;
 
@@ -120,8 +121,7 @@ struct SplitTopo {
       auto& dom = net.domain(r % static_cast<std::size_t>(domains));
       std::string name = "r";
       name += std::to_string(r);
-      res.push_back(
-          std::make_unique<FluidResource>(dom.scheduler(), std::move(name), t.capacity[r]));
+      res.push_back(std::make_unique<FluidResource>(dom, std::move(name), t.capacity[r]));
     }
     for (const auto& fd : t.flows) {
       FlowSpec spec{fd.work, {}, fd.cap, {}};
@@ -229,8 +229,8 @@ TEST(CrossDomain, TwoDomainBottleneckSharedFairly) {
   FluidNet net(sim, 0);
   auto& a = net.add_domain("a");
   auto& b = net.add_domain("b");
-  FluidResource ra(a.scheduler(), "ra", 10.0);
-  FluidResource rb(b.scheduler(), "rb", 1.0);
+  FluidResource ra(a, "ra", 10.0);
+  FluidResource rb(b, "rb", 1.0);
   auto cross = net.start(FlowSpec{.work = 1e15}.over(ra).over(rb));
   auto local = net.start(FlowSpec{.work = 1e15}.over(rb));
   EXPECT_EQ(net.boundary_flow_count(), 1u);
@@ -241,15 +241,36 @@ TEST(CrossDomain, TwoDomainBottleneckSharedFairly) {
   EXPECT_EQ(net.unconverged_exchange_count(), 0u);
 }
 
+TEST(CrossDomain, ResourceOfAnotherNetRejected) {
+  // Two nets on one clock: each admits only resources its own domains own,
+  // whether the spec is local to the foreign domain or would bridge into it.
+  Simulation sim;
+  FluidNet net(sim, 0);
+  FluidNet other(sim, 0);
+  auto& a = net.add_domain("a");
+  auto& b = other.add_domain("b");
+  FluidResource ra(a, "ra", 10.0);
+  FluidResource rb(b, "rb", 1.0);
+  EXPECT_EQ(net.domain_of(ra), &a);
+  EXPECT_EQ(net.domain_of(rb), nullptr);
+  EXPECT_THROW((void)net.start(FlowSpec{.work = 1.0}.over(rb)), LogicError);
+  EXPECT_THROW((void)net.start(FlowSpec{.work = 1.0}.over(ra).over(rb)), LogicError);
+  EXPECT_EQ(net.boundary_flow_count(), 0u);
+  // The owning net still admits it.
+  auto flow = other.start(FlowSpec{.work = 1.0}.over(rb));
+  sim.run();
+  EXPECT_TRUE(flow->finished());
+}
+
 TEST(CrossDomain, ThreeDomainChainTakesMinCapacity) {
   Simulation sim;
   FluidNet net(sim, 0);
   auto& a = net.add_domain("a");
   auto& b = net.add_domain("b");
   auto& c = net.add_domain("c");
-  FluidResource ra(a.scheduler(), "ra", 10.0);
-  FluidResource rb(b.scheduler(), "rb", 1.0);
-  FluidResource rc(c.scheduler(), "rc", 2.0);
+  FluidResource ra(a, "ra", 10.0);
+  FluidResource rb(b, "rb", 1.0);
+  FluidResource rc(c, "rc", 2.0);
   auto flow = net.start(FlowSpec{.work = 1e15}.over(ra).over(rb).over(rc));
   EXPECT_EQ(net.boundary_flow_count(), 1u);
   EXPECT_NEAR(flow->current_rate(), 1.0, 1e-9);
@@ -260,8 +281,8 @@ TEST(CrossDomain, BoundaryFlowCompletesOnTimeAndReleasesForeignCapacity) {
   FluidNet net(sim, 0);
   auto& a = net.add_domain("a");
   auto& b = net.add_domain("b");
-  FluidResource ra(a.scheduler(), "ra", 10.0);
-  FluidResource rb(b.scheduler(), "rb", 1.0);
+  FluidResource ra(a, "ra", 10.0);
+  FluidResource rb(b, "rb", 1.0);
   // Both at 0.5 until the cross flow drains 1.0 unit at t=2s; its ghost
   // must retire in that same settle so the local flow finishes its
   // remaining 2.0 units at the full 1.0 — done at t=4s exactly. (Completion
@@ -322,10 +343,10 @@ TEST(CrossDomain, WanPolicyScenariosConvergeWellUnderRoundCap) {
   cfg.schedule.push_back({.at = Duration::seconds(1.0), .capacity_factor = 0.4});
   cfg.schedule.push_back({.at = Duration::seconds(2.0), .capacity_factor = 1.0,
                           .rtt = Duration::millis(200)});
-  WanLink wan(sim, a.scheduler(), b.scheduler(), "w", cfg);
-  FluidResource tx(a.scheduler(), "tx", 120.0);
-  FluidResource rx(b.scheduler(), "rx", 90.0);
-  FluidResource disk(b.scheduler(), "disk", 60.0);
+  WanLink wan(sim, a, b, "w", cfg);
+  FluidResource tx(a, "tx", 120.0);
+  FluidResource rx(b, "rx", 90.0);
+  FluidResource disk(b, "disk", 60.0);
   std::vector<FlowPtr> flows;
   for (int i = 0; i < 4; ++i) {  // evacuation streams crossing the link
     flows.push_back(
@@ -362,8 +383,8 @@ TEST(CrossDomain, DeepChainExchangeSkipsSlackDomains) {
     auto& dom = net.add_domain(std::move(dom_name));
     std::string res_name = "r";
     res_name += std::to_string(d);
-    res.push_back(std::make_unique<FluidResource>(dom.scheduler(), std::move(res_name),
-                                                  d == 0 ? 1e9 : 1e12));
+    res.push_back(
+        std::make_unique<FluidResource>(dom, std::move(res_name), d == 0 ? 1e9 : 1e12));
   }
   FlowSpec spec{.work = 1e15};
   for (auto& r : res) {

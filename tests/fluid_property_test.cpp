@@ -17,6 +17,7 @@
 
 #include "maxmin_reference.h"
 #include "sim/fluid.h"
+#include "sim/fluid_net.h"
 #include "sim/simulation.h"
 
 namespace nm::sim {
@@ -46,7 +47,8 @@ TEST(FluidReference, BruteForceMatchesHandComputedWeightedMaxMin) {
 
 struct Topology {
   Simulation sim;
-  FluidScheduler sched{sim};
+  FluidNet net{sim};
+  FluidScheduler& sched = net.add_domain("d");
   std::vector<std::unique_ptr<FluidResource>> resources;
   std::vector<FlowPtr> flows;
   /// Brute-force consumption integral per resource: Σ over constant-rate

@@ -6,6 +6,7 @@
 
 #include "hw/cluster.h"
 #include "hw/node.h"
+#include "sim/fluid_net.h"
 #include "sim/simulation.h"
 
 namespace nm::hw {
@@ -21,7 +22,8 @@ NodeSpec agc_blade(const std::string& name) {
 
 TEST(Node, SingleComputeJobRunsAtOneCore) {
   sim::Simulation sim;
-  sim::FluidScheduler sched(sim);
+  sim::FluidNet net(sim);
+  sim::FluidScheduler& sched = net.add_domain("d");
   Node node(sched, agc_blade("n0"));
   double done_at = -1;
   sim.spawn([](sim::Simulation& s, Node& n, double& t) -> sim::Task {
@@ -34,7 +36,8 @@ TEST(Node, SingleComputeJobRunsAtOneCore) {
 
 TEST(Node, EightJobsFillEightCores) {
   sim::Simulation sim;
-  sim::FluidScheduler sched(sim);
+  sim::FluidNet net(sim);
+  sim::FluidScheduler& sched = net.add_domain("d");
   Node node(sched, agc_blade("n0"));
   std::vector<double> done(8, -1);
   for (int i = 0; i < 8; ++i) {
@@ -53,7 +56,8 @@ TEST(Node, OvercommitHalvesThroughput) {
   // 16 vCPU-bound jobs on an 8-core blade (the paper's "2 hosts (TCP)"
   // consolidation case): each takes twice as long.
   sim::Simulation sim;
-  sim::FluidScheduler sched(sim);
+  sim::FluidNet net(sim);
+  sim::FluidScheduler& sched = net.add_domain("d");
   Node node(sched, agc_blade("n0"));
   std::vector<double> done(16, -1);
   for (int i = 0; i < 16; ++i) {
@@ -70,7 +74,8 @@ TEST(Node, OvercommitHalvesThroughput) {
 
 TEST(Node, MemWriteCostMatchesBandwidth) {
   sim::Simulation sim;
-  sim::FluidScheduler sched(sim);
+  sim::FluidNet net(sim);
+  sim::FluidScheduler& sched = net.add_domain("d");
   NodeSpec spec = agc_blade("n0");
   spec.mem_write_bw = Bandwidth::gib_per_sec(2.0);
   Node node(sched, spec);
@@ -79,7 +84,8 @@ TEST(Node, MemWriteCostMatchesBandwidth) {
 
 TEST(Cluster, AddAndFindNodes) {
   sim::Simulation sim;
-  sim::FluidScheduler sched(sim);
+  sim::FluidNet net(sim);
+  sim::FluidScheduler& sched = net.add_domain("d");
   Cluster cluster("ib-cluster");
   for (int i = 0; i < 8; ++i) {
     cluster.add_node(sched, agc_blade("ib" + std::to_string(i)));

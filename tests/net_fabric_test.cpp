@@ -12,6 +12,7 @@
 #include "net/fabric.h"
 #include "net/ib_fabric.h"
 #include "net/port.h"
+#include "sim/fluid_net.h"
 #include "sim/simulation.h"
 
 namespace nm::net {
@@ -19,7 +20,8 @@ namespace {
 
 struct TestBed {
   sim::Simulation sim;
-  sim::FluidScheduler sched{sim};
+  sim::FluidNet net{sim};
+  sim::FluidScheduler& sched = net.add_domain("d");
   std::vector<std::unique_ptr<hw::Node>> nodes;
   std::vector<std::unique_ptr<NicPort>> ports;
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sim/fluid.h"
+#include "sim/fluid_net.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
 #include "util/rng.h"
@@ -14,10 +15,16 @@
 namespace nm::sim {
 namespace {
 
-TEST(Fluid, SingleFlowUsesFullCapacity) {
+/// One domain of a 0-worker FluidNet: the settle path every workload runs.
+class Fluid : public ::testing::Test {
+ protected:
   Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource nic("nic", 100.0);  // 100 units/s
+  FluidNet net{sim};
+  FluidScheduler& sched = net.add_domain("d");
+};
+
+TEST_F(Fluid, SingleFlowUsesFullCapacity) {
+  FluidResource nic(sched, "nic", 100.0);  // 100 units/s
   double done_at = -1;
   sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
     co_await sc.run(FlowSpec{.work = 500.0}.over(r));
@@ -27,19 +34,15 @@ TEST(Fluid, SingleFlowUsesFullCapacity) {
   EXPECT_NEAR(done_at, 5.0, 1e-9);
 }
 
-TEST(Fluid, ZeroWorkCompletesImmediately) {
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource r("r", 10.0);
+TEST_F(Fluid, ZeroWorkCompletesImmediately) {
+  FluidResource r(sched, "r", 10.0);
   auto flow = sched.start(FlowSpec{.work = 0.0}.over(r));
   EXPECT_TRUE(flow->finished());
   EXPECT_EQ(r.active_flows(), 0u);
 }
 
-TEST(Fluid, TwoFlowsShareEqually) {
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource nic("nic", 100.0);
+TEST_F(Fluid, TwoFlowsShareEqually) {
+  FluidResource nic(sched, "nic", 100.0);
   std::vector<double> done(2, -1);
   for (int i = 0; i < 2; ++i) {
     sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
@@ -53,10 +56,8 @@ TEST(Fluid, TwoFlowsShareEqually) {
   EXPECT_NEAR(done[1], 10.0, 1e-6);
 }
 
-TEST(Fluid, ShorterFlowFreesCapacityForLonger) {
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource nic("nic", 100.0);
+TEST_F(Fluid, ShorterFlowFreesCapacityForLonger) {
+  FluidResource nic(sched, "nic", 100.0);
   double short_done = -1;
   double long_done = -1;
   sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
@@ -74,10 +75,8 @@ TEST(Fluid, ShorterFlowFreesCapacityForLonger) {
   EXPECT_NEAR(long_done, 6.0, 1e-6);
 }
 
-TEST(Fluid, PerFlowCapLimitsRate) {
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource cpu("cpu", 8.0);  // 8 cores
+TEST_F(Fluid, PerFlowCapLimitsRate) {
+  FluidResource cpu(sched, "cpu", 8.0);  // 8 cores
   double done_at = -1;
   // One vCPU task: capped at 1 core even though 8 are free.
   sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
@@ -88,11 +87,9 @@ TEST(Fluid, PerFlowCapLimitsRate) {
   EXPECT_NEAR(done_at, 4.0, 1e-9);
 }
 
-TEST(Fluid, OvercommitSharesFairly) {
+TEST_F(Fluid, OvercommitSharesFairly) {
   // 16 single-core-capped jobs on an 8-core node: each runs at 0.5 cores.
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource cpu("cpu", 8.0);
+  FluidResource cpu(sched, "cpu", 8.0);
   std::vector<double> done(16, -1);
   for (int i = 0; i < 16; ++i) {
     sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
@@ -106,11 +103,9 @@ TEST(Fluid, OvercommitSharesFairly) {
   }
 }
 
-TEST(Fluid, MultiResourceFlowBottleneckedByTightest) {
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource tx("tx", 100.0);
-  FluidResource rx("rx", 40.0);
+TEST_F(Fluid, MultiResourceFlowBottleneckedByTightest) {
+  FluidResource tx(sched, "tx", 100.0);
+  FluidResource rx(sched, "rx", 40.0);
   double done_at = -1;
   sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& a, FluidResource& b,
                double& t) -> Task {
@@ -121,14 +116,12 @@ TEST(Fluid, MultiResourceFlowBottleneckedByTightest) {
   EXPECT_NEAR(done_at, 5.0, 1e-9);  // bound by rx at 40
 }
 
-TEST(Fluid, CrossTrafficOnSharedResource) {
+TEST_F(Fluid, CrossTrafficOnSharedResource) {
   // Flow A crosses tx(100) and rx1(100); flow B crosses tx and rx2(30).
   // Max-min: B is capped at 30 by rx2; A then gets 70 on tx.
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource tx("tx", 100.0);
-  FluidResource rx1("rx1", 100.0);
-  FluidResource rx2("rx2", 30.0);
+  FluidResource tx(sched, "tx", 100.0);
+  FluidResource rx1(sched, "rx1", 100.0);
+  FluidResource rx2(sched, "rx2", 30.0);
   auto a = sched.start(FlowSpec{.work = 700.0}.over(tx).over(rx1));
   auto b = sched.start(FlowSpec{.work = 300.0}.over(tx).over(rx2));
   EXPECT_NEAR(a->current_rate(), 70.0, 1e-9);
@@ -138,10 +131,8 @@ TEST(Fluid, CrossTrafficOnSharedResource) {
   EXPECT_TRUE(b->finished());
 }
 
-TEST(Fluid, CapacityChangeRebalances) {
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource nic("nic", 100.0);
+TEST_F(Fluid, CapacityChangeRebalances) {
+  FluidResource nic(sched, "nic", 100.0);
   double done_at = -1;
   sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
     co_await sc.run(FlowSpec{.work = 400.0}.over(r));
@@ -153,10 +144,8 @@ TEST(Fluid, CapacityChangeRebalances) {
   EXPECT_NEAR(done_at, 6.0, 1e-6);
 }
 
-TEST(Fluid, PauseAndResumeViaMaxRate) {
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource nic("nic", 100.0);
+TEST_F(Fluid, PauseAndResumeViaMaxRate) {
+  FluidResource nic(sched, "nic", 100.0);
   auto flow = sched.start(FlowSpec{.work = 400.0}.over(nic));
   double done_at = -1;
   sim.spawn([](Simulation& s, FlowPtr f, double& t) -> Task {
@@ -170,13 +159,13 @@ TEST(Fluid, PauseAndResumeViaMaxRate) {
   EXPECT_NEAR(done_at, 14.0, 1e-6);
 }
 
-TEST(Fluid, FlowAcrossSchedulersRejected) {
-  Simulation sim;
-  FluidScheduler s1(sim);
-  FluidScheduler s2(sim);
-  FluidResource r("r", 1.0);
-  auto f = s1.start(FlowSpec{.work = 1.0}.over(r));
-  EXPECT_THROW((void)s2.start(FlowSpec{.work = 1.0}.over(r)), LogicError);
+TEST_F(Fluid, FlowAcrossSchedulersRejected) {
+  // A resource belongs to the domain it was built on: a sibling domain's
+  // scheduler must refuse it (only FluidNet may bridge domains).
+  FluidScheduler& sibling = net.add_domain("sibling");
+  FluidResource r(sched, "r", 1.0);
+  auto f = sched.start(FlowSpec{.work = 1.0}.over(r));
+  EXPECT_THROW((void)sibling.start(FlowSpec{.work = 1.0}.over(r)), LogicError);
   sim.run();
   EXPECT_TRUE(f->finished());
 }
@@ -188,7 +177,8 @@ class FluidProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FluidProperty, RatesAreFeasibleAndMaxMinFair) {
   Simulation sim;
-  FluidScheduler sched(sim);
+  FluidNet net(sim);
+  FluidScheduler& sched = net.add_domain("d");
   Rng rng(GetParam());
 
   constexpr int kResources = 6;
@@ -201,7 +191,7 @@ TEST_P(FluidProperty, RatesAreFeasibleAndMaxMinFair) {
     std::string name = "r";
     name += std::to_string(i);
     resources.push_back(
-        std::make_unique<FluidResource>(std::move(name), rng.uniform(10.0, 200.0)));
+        std::make_unique<FluidResource>(sched, std::move(name), rng.uniform(10.0, 200.0)));
   }
   std::vector<FlowPtr> flows;
   for (int i = 0; i < kFlows; ++i) {
@@ -277,27 +267,23 @@ TEST_P(FluidProperty, RatesAreFeasibleAndMaxMinFair) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidProperty, ::testing::Values(1, 7, 42, 1234, 99991));
 
-TEST(Fluid, WeightedFlowChargesCpuPerByte) {
+TEST_F(Fluid, WeightedFlowChargesCpuPerByte) {
   // A "TCP" flow moving bytes across a 1.25e3 B/s NIC with a CPU weight of
   // 1e-3 core-sec/byte on a 1-core CPU: CPU limits the rate to 1e3 B/s.
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource nic("nic", 1250.0);
-  FluidResource cpu("cpu", 1.0);
+  FluidResource nic(sched, "nic", 1250.0);
+  FluidResource cpu(sched, "cpu", 1.0);
   auto flow = sched.start(FlowSpec{.work = 2000.0}.over(nic).over(cpu, 1e-3));
   EXPECT_NEAR(flow->current_rate(), 1000.0, 1e-9);
   sim.run();
   EXPECT_NEAR(sim.now().to_seconds(), 2.0, 1e-6);
 }
 
-TEST(Fluid, WeightedFlowsCompeteForCpuWithComputeJob) {
+TEST_F(Fluid, WeightedFlowsCompeteForCpuWithComputeJob) {
   // A compute job (1 core cap) and a TCP flow (1e-3 core-sec/byte) share a
   // single core: max-min gives the compute job ~its share and slows the
   // transfer accordingly.
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource nic("nic", 1e9);
-  FluidResource cpu("cpu", 1.0);
+  FluidResource nic(sched, "nic", 1e9);
+  FluidResource cpu(sched, "cpu", 1.0);
   auto xfer = sched.start(FlowSpec{.work = 10000.0}.over(nic).over(cpu, 1e-3));
   auto job = sched.start(FlowSpec{.work = 10.0, .max_rate = 1.0}.over(cpu));
   // Equal-rate max-min would give both the same *rate*, which the transfer
@@ -311,10 +297,8 @@ TEST(Fluid, WeightedFlowsCompeteForCpuWithComputeJob) {
   EXPECT_TRUE(job->finished());
 }
 
-TEST(Fluid, SuspendResumePreservesCap) {
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource nic("nic", 100.0);
+TEST_F(Fluid, SuspendResumePreservesCap) {
+  FluidResource nic(sched, "nic", 100.0);
   auto flow = sched.start(FlowSpec{.work = 400.0, .max_rate = 40.0}.over(nic));
   EXPECT_NEAR(flow->current_rate(), 40.0, 1e-12);
   flow->suspend();
@@ -331,12 +315,10 @@ TEST(Fluid, SuspendResumePreservesCap) {
   EXPECT_NEAR(sim.now().to_seconds(), 10.0, 1e-6);
 }
 
-TEST(Fluid, SetMaxRateWhileSuspendedAppliesOnResume) {
+TEST_F(Fluid, SetMaxRateWhileSuspendedAppliesOnResume) {
   // A cap set during suspension must neither un-suspend the flow nor be
   // clobbered by the pre-suspend cap on resume().
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource nic("nic", 100.0);
+  FluidResource nic(sched, "nic", 100.0);
   auto flow = sched.start(FlowSpec{.work = 400.0, .max_rate = 40.0}.over(nic));
   EXPECT_NEAR(flow->current_rate(), 40.0, 1e-12);
   flow->suspend();
@@ -352,13 +334,11 @@ TEST(Fluid, SetMaxRateWhileSuspendedAppliesOnResume) {
   EXPECT_NEAR(sim.now().to_seconds(), 40.0, 1e-6);
 }
 
-TEST(Fluid, ComponentsTrackConnectivity) {
+TEST_F(Fluid, ComponentsTrackConnectivity) {
   // Disjoint resources host independent components; a bridging flow merges
   // them; completions dissolve emptied components.
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource a("a", 10.0);
-  FluidResource b("b", 10.0);
+  FluidResource a(sched, "a", 10.0);
+  FluidResource b(sched, "b", 10.0);
   EXPECT_EQ(sched.component_count(), 0u);
   auto fa = sched.start(FlowSpec{.work = 10.0}.over(a));
   auto fb = sched.start(FlowSpec{.work = 20.0}.over(b));
@@ -376,11 +356,9 @@ TEST(Fluid, ComponentsTrackConnectivity) {
   EXPECT_TRUE(fa2->finished() && fb2->finished());
 }
 
-TEST(Fluid, ManySequentialFlowsKeepClockExact) {
+TEST_F(Fluid, ManySequentialFlowsKeepClockExact) {
   // Chained transfers must not accumulate drift: 1000 x 1-second flows.
-  Simulation sim;
-  FluidScheduler sched(sim);
-  FluidResource nic("nic", 10.0);
+  FluidResource nic(sched, "nic", 10.0);
   double done_at = -1;
   sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
     for (int i = 0; i < 1000; ++i) {

@@ -1,4 +1,4 @@
-// Sharding invariance: a testbed built over N FluidDomain shards must
+// Sharding invariance: a testbed built over N fluid domain shards must
 // produce a timeline *bit-identical* to the 1-shard build. Domains solve
 // independently and their timers merge through the one deterministic
 // (time, sequence) event queue, so any topology-valid partitioning — one
@@ -19,7 +19,7 @@
 #include "core/testbed.h"
 #include "hw/cluster.h"
 #include "net/port.h"
-#include "sim/fluid.h"
+#include "sim/fluid_net.h"
 
 namespace nm::core {
 namespace {
@@ -193,11 +193,30 @@ Zone build_zone(sim::FluidScheduler& sched, int z) {
   return zone;
 }
 
-/// Starts an intra-zone flow program (CPU flows + a NIC ring) and drains
-/// the merged timeline, recording every flow's completion stamp.
-std::vector<std::int64_t> run_zone_flows(sim::Simulation& sim,
-                                         std::vector<Zone>& zones,
-                                         const std::vector<sim::FluidScheduler*>& zone_sched) {
+/// What one two-zone run observed.
+struct ZoneRun {
+  std::vector<std::int64_t> stamps;  // every flow's completion instant
+  double consumed_z0 = 0.0;          // zone 0, node 0's CPU
+  std::size_t settles = 0;
+  std::size_t parallel_settles = 0;
+};
+
+/// Builds two isolated zones in a FluidNet with `workers` solve threads —
+/// both on one domain, or (`split`) each on its own — then starts an
+/// intra-zone flow program (CPU flows + a NIC ring) and drains the merged
+/// timeline, recording every flow's completion stamp.
+ZoneRun run_zones(bool split, int workers) {
+  sim::Simulation sim;
+  sim::FluidNet net(sim, workers);
+  std::vector<Zone> zones;
+  std::vector<sim::FluidScheduler*> zone_sched;
+  for (int z = 0; z < 2; ++z) {
+    if (split || z == 0) {
+      net.add_domain(split ? "zone" + std::to_string(z) : "all-zones");
+    }
+    zone_sched.push_back(&net.domain(net.domain_count() - 1));
+    zones.push_back(build_zone(*zone_sched.back(), z));
+  }
   std::vector<sim::FlowPtr> flows;
   for (std::size_t z = 0; z < zones.size(); ++z) {
     auto& sched = *zone_sched[z];
@@ -211,52 +230,30 @@ std::vector<std::int64_t> run_zone_flows(sim::Simulation& sim,
               .over(zones[z].ports[static_cast<std::size_t>((n + 1) % kZoneNodes)]->rx())));
     }
   }
-  std::vector<std::int64_t> stamps(flows.size(), -1);
+  ZoneRun run;
+  run.stamps.assign(flows.size(), -1);
   for (std::size_t f = 0; f < flows.size(); ++f) {
     sim.spawn([](sim::Simulation& s, sim::FlowPtr flow, std::int64_t& out) -> sim::Task {
       co_await flow->completion().wait();
       out = (s.now() - TimePoint::origin()).count_nanos();
-    }(sim, flows[f], stamps[f]));
+    }(sim, flows[f], run.stamps[f]));
   }
   sim.run();
   for (const auto& flow : flows) {
     EXPECT_TRUE(flow->finished());
   }
-  return stamps;
+  run.consumed_z0 = zones[0].cluster->node(0).cpu().consumed();
+  run.settles = net.pool()->settle_count();
+  run.parallel_settles = net.pool()->parallel_settle_count();
+  return run;
 }
 
 TEST(Sharding, DisjointZonesOnSeparateDomainsMatchSingleScheduler) {
-  // Merged build: both zones on one scheduler (one domain).
-  std::vector<std::int64_t> merged;
-  {
-    sim::Simulation sim;
-    sim::FluidDomain domain(sim, "all-zones");
-    std::vector<Zone> zones;
-    std::vector<sim::FluidScheduler*> zone_sched;
-    for (int z = 0; z < 2; ++z) {
-      zones.push_back(build_zone(domain.scheduler(), z));
-      zone_sched.push_back(&domain.scheduler());
-    }
-    merged = run_zone_flows(sim, zones, zone_sched);
-  }
-
-  // Sharded build: each zone on its own FluidDomain over one shared clock.
-  std::vector<std::int64_t> sharded;
-  double consumed_z0 = 0.0;
-  {
-    sim::Simulation sim;
-    std::vector<std::unique_ptr<sim::FluidDomain>> domains;
-    std::vector<Zone> zones;
-    std::vector<sim::FluidScheduler*> zone_sched;
-    for (int z = 0; z < 2; ++z) {
-      domains.push_back(
-          std::make_unique<sim::FluidDomain>(sim, "zone" + std::to_string(z)));
-      zones.push_back(build_zone(domains.back()->scheduler(), z));
-      zone_sched.push_back(&domains.back()->scheduler());
-    }
-    sharded = run_zone_flows(sim, zones, zone_sched);
-    consumed_z0 = zones[0].cluster->node(0).cpu().consumed();
-  }
+  // Merged build (both zones on one domain) vs sharded build (each zone on
+  // its own domain over one shared clock).
+  const std::vector<std::int64_t> merged = run_zones(/*split=*/false, /*workers=*/0).stamps;
+  const ZoneRun sharded_run = run_zones(/*split=*/true, /*workers=*/0);
+  const std::vector<std::int64_t>& sharded = sharded_run.stamps;
 
   // Every flow completes at the identical instant, bit for bit.
   ASSERT_EQ(merged.size(), sharded.size());
@@ -265,47 +262,20 @@ TEST(Sharding, DisjointZonesOnSeparateDomainsMatchSingleScheduler) {
   }
   // Node 0 ran one 0.25 core-second flow at rate 1: consumption accounting
   // holds across the domain split.
-  EXPECT_NEAR(consumed_z0, 0.25, 1e-9);
+  EXPECT_NEAR(sharded_run.consumed_z0, 0.25, 1e-9);
 }
 
 TEST(Sharding, ParallelSolvePoolMatchesSerialOnDisjointZones) {
-  // Reference: two zones on separate, unattached domains, each settled
-  // serially by its scheduler's own end-of-instant hook.
-  std::vector<std::int64_t> serial;
-  {
-    sim::Simulation sim;
-    std::vector<std::unique_ptr<sim::FluidDomain>> domains;
-    std::vector<Zone> zones;
-    std::vector<sim::FluidScheduler*> zone_sched;
-    for (int z = 0; z < 2; ++z) {
-      domains.push_back(std::make_unique<sim::FluidDomain>(sim, "zone" + std::to_string(z)));
-      zones.push_back(build_zone(domains.back()->scheduler(), z));
-      zone_sched.push_back(&domains.back()->scheduler());
-    }
-    serial = run_zone_flows(sim, zones, zone_sched);
-  }
+  // Reference: the two zones on separate domains of a 0-worker FluidNet,
+  // whose pool computes every batch serially on the simulation thread.
+  const std::vector<std::int64_t> serial = run_zones(/*split=*/true, /*workers=*/0).stamps;
 
   // Same topology settled through a 2-worker SolvePool. The zones admit
   // flows at the same instant, so the pool genuinely computes cross-domain
   // batches — and the timeline must still replay the serial run exactly.
-  std::vector<std::int64_t> pooled;
-  std::size_t parallel_settles = 0;
-  {
-    sim::Simulation sim;
-    sim::SolvePool pool(sim, 2);
-    std::vector<std::unique_ptr<sim::FluidDomain>> domains;
-    std::vector<Zone> zones;
-    std::vector<sim::FluidScheduler*> zone_sched;
-    for (int z = 0; z < 2; ++z) {
-      domains.push_back(std::make_unique<sim::FluidDomain>(sim, "zone" + std::to_string(z)));
-      pool.attach(domains.back()->scheduler());
-      zones.push_back(build_zone(domains.back()->scheduler(), z));
-      zone_sched.push_back(&domains.back()->scheduler());
-    }
-    pooled = run_zone_flows(sim, zones, zone_sched);
-    parallel_settles = pool.parallel_settle_count();
-    EXPECT_GT(pool.settle_count(), 0u);
-  }
+  const ZoneRun pooled_run = run_zones(/*split=*/true, /*workers=*/2);
+  const std::vector<std::int64_t>& pooled = pooled_run.stamps;
+  EXPECT_GT(pooled_run.settles, 0u);
 
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t f = 0; f < serial.size(); ++f) {
@@ -314,7 +284,7 @@ TEST(Sharding, ParallelSolvePoolMatchesSerialOnDisjointZones) {
   // The admission instant dirties both domains at once, so at least one
   // settle must actually have run a multi-component batch (otherwise this
   // test would be vacuous).
-  EXPECT_GT(parallel_settles, 0u);
+  EXPECT_GT(pooled_run.parallel_settles, 0u);
 }
 
 TEST(Sharding, TestbedExposesRequestedDomains) {
@@ -328,7 +298,7 @@ TEST(Sharding, TestbedExposesRequestedDomains) {
   EXPECT_EQ(tb.domain_of(tb.ib_host(0).node().cpu()), &tb.domain(0));
   // Spare shards are real, independently usable schedulers on the same clock.
   EXPECT_EQ(&tb.domain(1).simulation(), &tb.sim());
-  EXPECT_NE(&tb.domain(1).scheduler(), &tb.domain(0).scheduler());
+  EXPECT_NE(&tb.domain(1), &tb.domain(0));
 }
 
 // --- Boundary flows on the real topology -------------------------------------

@@ -11,6 +11,7 @@
 #include "core/ninja.h"
 #include "core/testbed.h"
 #include "sim/fluid.h"
+#include "sim/fluid_net.h"
 #include "symvirt/coordinator.h"
 #include "workloads/bcast_reduce.h"
 #include "workloads/memtest.h"
@@ -21,8 +22,9 @@ namespace {
 
 TEST(Utilization, FluidResourceIntegratesConsumption) {
   sim::Simulation sim;
-  sim::FluidScheduler sched(sim);
-  sim::FluidResource cpu("cpu", 8.0);
+  sim::FluidNet net(sim);
+  sim::FluidScheduler& sched = net.add_domain("d");
+  sim::FluidResource cpu(sched, "cpu", 8.0);
   // One 1-core job for 4 seconds: 4 core-seconds consumed, 12.5% mean util.
   auto flow = sched.start(sim::FlowSpec{.work = 4.0, .max_rate = 1.0}.over(cpu));
   sim.run();

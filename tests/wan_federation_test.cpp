@@ -131,7 +131,8 @@ WanTopo random_wan_topo(std::mt19937& rng, bool finite_work, double cap_scale,
 // The same topology on one scheduler, endpoints as plain resources.
 struct MergedTopo {
   Simulation sim;
-  FluidScheduler sched{sim};
+  FluidNet net{sim};
+  FluidScheduler& sched = net.add_domain("merged");
   std::vector<std::unique_ptr<FluidResource>> res;
   std::vector<FlowPtr> flows;
 
@@ -164,14 +165,13 @@ struct FederatedTopo {
     auto& da = net.add_domain("site-a");
     auto& db = net.add_domain("site-b");
     cfg.line_rate = Bandwidth::bytes_per_sec(t.line);
-    wan = std::make_unique<WanLink>(sim, da.scheduler(), db.scheduler(), "test", cfg);
+    wan = std::make_unique<WanLink>(sim, da, db, "test", cfg);
     const std::size_t regular = t.capacity.size() - 2;
     for (std::size_t r = 0; r < regular; ++r) {
       auto& dom = net.domain(r % 2);
       std::string name = "r";
       name += std::to_string(r);
-      res.push_back(
-          std::make_unique<FluidResource>(dom.scheduler(), std::move(name), t.capacity[r]));
+      res.push_back(std::make_unique<FluidResource>(dom, std::move(name), t.capacity[r]));
     }
     for (const auto& fd : t.flows) {
       FlowSpec spec{fd.work, {}, fd.cap, {}};
@@ -365,7 +365,8 @@ NSiteTopo random_nsite_topo(std::mt19937& rng, std::size_t n_sites) {
 
 struct MergedTopoN {
   Simulation sim;
-  FluidScheduler sched{sim};
+  FluidNet net{sim};
+  FluidScheduler& sched = net.add_domain("merged");
   std::vector<std::unique_ptr<FluidResource>> res;  // regular + 2 per pair
   std::vector<FlowPtr> flows;
 
@@ -404,12 +405,12 @@ struct FederatedTopoN {
     for (std::size_t p = 0; p < t.pairs.size(); ++p) {
       WanLinkConfig cfg;  // zero impairments: plain boundary pair
       cfg.line_rate = Bandwidth::bytes_per_sec(t.line[p]);
-      wans.push_back(std::make_unique<WanLink>(
-          sim, net.domain(t.pairs[p].first).scheduler(),
-          net.domain(t.pairs[p].second).scheduler(), "w" + std::to_string(p), cfg));
+      wans.push_back(std::make_unique<WanLink>(sim, net.domain(t.pairs[p].first),
+                                               net.domain(t.pairs[p].second),
+                                               "w" + std::to_string(p), cfg));
     }
     for (std::size_t r = 0; r < t.capacity.size(); ++r) {
-      res.push_back(std::make_unique<FluidResource>(net.domain(r % t.n_sites).scheduler(),
+      res.push_back(std::make_unique<FluidResource>(net.domain(r % t.n_sites),
                                                     "r" + std::to_string(r), t.capacity[r]));
     }
     for (const auto& fd : t.flows) {
@@ -530,7 +531,7 @@ TEST(WanModel, MathisCeilingBindsPerConnection) {
   FluidNet net(sim, 0);
   auto& a = net.add_domain("a");
   auto& b = net.add_domain("b");
-  WanLink wan(sim, a.scheduler(), b.scheduler(), "w", tiny_mathis_link());
+  WanLink wan(sim, a, b, "w", tiny_mathis_link());
   EXPECT_NEAR(wan.mathis_rate(), 20.0, 1e-9);
   EXPECT_NEAR(wan.effective_rate(), 20.0, 1e-9);
 
@@ -552,7 +553,7 @@ TEST(WanModel, WeightedFlowConvertsWireRateToFlowRate) {
   FluidNet net(sim, 0);
   auto& a = net.add_domain("a");
   auto& b = net.add_domain("b");
-  WanLink wan(sim, a.scheduler(), b.scheduler(), "w", tiny_mathis_link());
+  WanLink wan(sim, a, b, "w", tiny_mathis_link());
   // Weight 2 on the wire: each flow unit costs 2 wire bytes, so the flow
   // rate ceiling is mathis / 2 = 10.
   auto flow = net.start(FlowSpec{.work = 1e15}.over(wan.a(), 2.0).over(wan.b(), 2.0));
@@ -575,7 +576,7 @@ TEST(WanModel, PartitionFreezesCrossingFlowsUntilHeal) {
   schedule.push_back({.at = Duration::seconds(2.0), .capacity_factor = 0.0});
   schedule.push_back({.at = Duration::seconds(5.0), .capacity_factor = 1.0});
   cfg.schedule = std::move(schedule);
-  WanLink wan(sim, a.scheduler(), b.scheduler(), "w", cfg);
+  WanLink wan(sim, a, b, "w", cfg);
 
   // 30 units at 10/s: 20 delivered by the cut at t=2, frozen for 3 s,
   // the last 10 delivered over t=5..6 — done at exactly t=6.
@@ -602,7 +603,7 @@ TEST(WanModel, RttOnlyPhaseRefoldsPublishedCaps) {
   // the crossing components dirty and re-fold.
   cfg.schedule.push_back({.at = Duration::seconds(2.0), .capacity_factor = 1.0,
                           .rtt = Duration::seconds(2.0)});
-  WanLink wan(sim, a.scheduler(), b.scheduler(), "w", cfg);
+  WanLink wan(sim, a, b, "w", cfg);
   auto flow = net.start(FlowSpec{.work = 1e15}.over(wan.a()).over(wan.b()));
   EXPECT_NEAR(flow->current_rate(), 20.0, 1e-9);
   sim.run_for(Duration::seconds(3.0));
@@ -729,8 +730,8 @@ TEST(WanFederation, HostsResolveAcrossSitesAndDomainsAreDistinct) {
   EXPECT_EQ(fed.find_host("b:eth1"), &fed.site_b().eth_host(1));
   EXPECT_EQ(fed.find_host("c:eth0"), nullptr);
   // The WAN endpoints live one per site zone, in different domains.
-  sim::FluidDomain* da = fed.domain_of(fed.wan().a());
-  sim::FluidDomain* db = fed.domain_of(fed.wan().b());
+  sim::FluidScheduler* da = fed.domain_of(fed.wan().a());
+  sim::FluidScheduler* db = fed.domain_of(fed.wan().b());
   ASSERT_NE(da, nullptr);
   ASSERT_NE(db, nullptr);
   EXPECT_NE(da, db);
