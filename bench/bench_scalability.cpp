@@ -156,18 +156,17 @@ std::int64_t run_pod_flows(sim::Simulation& sim, std::vector<Pod>& pods,
                            const std::vector<sim::FluidScheduler*>& pod_domain,
                            int flow_nodes = kFlowNodes) {
   for (std::size_t p = 0; p < pods.size(); ++p) {
-    auto& sched = *pod_domain[p];
+    auto& net = pod_domain[p]->net();
     for (int n = 0; n < flow_nodes; ++n) {
       auto& node = pods[p].cluster->node(static_cast<std::size_t>(n));
       // A compute flow plus a ring transfer to the next node's NIC: the
       // slice forms one connected zone, so it must stay on one domain.
-      sched.start(
-          sim::FlowSpec{.work = (n + 1) * 0.05, .max_rate = 1.0}.over(node.cpu()));
-      sched.start(sim::FlowSpec{.work = 1e8 * (n + 1)}
-                      .over(pods[p].ports[static_cast<std::size_t>(n)]->tx())
-                      .over(pods[p]
-                                .ports[static_cast<std::size_t>((n + 1) % flow_nodes)]
-                                ->rx()));
+      net.start(sim::FlowSpec{.work = (n + 1) * 0.05, .max_rate = 1.0}.over(node.cpu()));
+      net.start(sim::FlowSpec{.work = 1e8 * (n + 1)}
+                    .over(pods[p].ports[static_cast<std::size_t>(n)]->tx())
+                    .over(pods[p]
+                              .ports[static_cast<std::size_t>((n + 1) % flow_nodes)]
+                              ->rx()));
     }
   }
   return sim.run().count_nanos();
@@ -480,14 +479,19 @@ sim::Task evacuate_vm(vmm::Vm& vm, vmm::Host& dst) {
 }
 
 FederatedResult run_federated_evacuation(int workers) {
+  core::TestbedConfig source;
+  source.ib_nodes = 0;
+  source.eth_nodes = 4;
+  core::TestbedConfig refuge;
+  refuge.ib_nodes = 0;
+  refuge.eth_nodes = 2;
+  sim::WanLinkConfig wan;
+  wan.line_rate = Bandwidth::gbps(1);  // the paper's continental target
+  wan.rtt = Duration::millis(50);
+  wan.loss = 0.001;
   core::FederationConfig fcfg;
-  fcfg.site_a.ib_nodes = 0;
-  fcfg.site_a.eth_nodes = 4;
-  fcfg.site_b.ib_nodes = 0;
-  fcfg.site_b.eth_nodes = 2;
-  fcfg.wan.line_rate = Bandwidth::gbps(1);    // the paper's continental target
-  fcfg.wan.rtt = Duration::millis(50);
-  fcfg.wan.loss = 0.001;
+  fcfg.sites = {{"a", source}, {"b", refuge}};
+  fcfg.edges = {{0, 1, wan}};
   fcfg.solve_workers = workers;
   core::Federation fed(fcfg);
 
@@ -497,7 +501,7 @@ FederatedResult run_federated_evacuation(int workers) {
     spec.name = "vm" + std::to_string(i);
     spec.memory = Bytes::gib(2);
     spec.base_os_footprint = Bytes::mib(256);
-    auto vm = fed.site_a().boot_vm(fed.site_a().eth_host(i), spec, /*with_hca=*/false);
+    auto vm = fed.site(0).boot_vm(fed.site(0).eth_host(i), spec, /*with_hca=*/false);
     vm->memory().write_data(Bytes::zero(), Bytes::mib(512));
     vms.push_back(std::move(vm));
   }

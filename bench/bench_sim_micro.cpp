@@ -130,7 +130,7 @@ void BM_FluidRebalance(benchmark::State& state) {
     std::vector<sim::FlowPtr> live;
     live.reserve(static_cast<std::size_t>(flows));
     for (int i = 0; i < flows; ++i) {
-      live.push_back(sched.start(sim::FlowSpec{.work = 1e6 * (i + 1)}.over(nic)));
+      live.push_back(net.start(sim::FlowSpec{.work = 1e6 * (i + 1)}.over(nic)));
     }
     sim.run();
   }
@@ -160,7 +160,7 @@ void BM_FluidRebalanceMultiHost(benchmark::State& state) {
         for (int f = 0; f < kFlowsPerHost; ++f) {
           // Long-lived: never completes within the churn window.
           background.push_back(
-              sched.start(sim::FlowSpec{.work = 1e16}.over(*nics[h])));
+              net.start(sim::FlowSpec{.work = 1e16}.over(*nics[h])));
         }
       }
       sim.run_for(Duration::seconds(1));  // settle the background
@@ -171,7 +171,7 @@ void BM_FluidRebalanceMultiHost(benchmark::State& state) {
     auto env = std::make_unique<Env>(hosts);
     state.ResumeTiming();
     for (int c = 0; c < kChurn; ++c) {
-      auto flow = env->sched.start(sim::FlowSpec{.work = 1e6}.over(*env->nics[0]));
+      auto flow = env->net.start(sim::FlowSpec{.work = 1e6}.over(*env->nics[0]));
       env->sim.run_for(Duration::seconds(1));
       benchmark::DoNotOptimize(flow->finished());
     }

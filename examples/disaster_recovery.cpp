@@ -14,7 +14,11 @@
 //   lan    back-to-back 10 GbE, no impairments (the old single-site story)
 //   metro  5 ms RTT, 1 Gbps, 0.01 % loss (same metro area, ~100 km)
 //   wan    50 ms RTT, 1 Gbps, 0.1 % loss (continental, the paper's target)
+//
+// Exits 2 on an unknown calibration, and 1 when any boundary-exchange
+// settle hit the round cap without converging.
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/federation.h"
@@ -26,7 +30,7 @@ using namespace nm;
 
 namespace {
 
-sim::WanLinkConfig calibration(const std::string& name) {
+std::optional<sim::WanLinkConfig> calibration(const std::string& name) {
   sim::WanLinkConfig wan;
   if (name == "lan") {
     wan.line_rate = Bandwidth::gbps(10);
@@ -34,10 +38,12 @@ sim::WanLinkConfig calibration(const std::string& name) {
     wan.line_rate = Bandwidth::gbps(1);
     wan.rtt = Duration::millis(5);
     wan.loss = 0.0001;
-  } else {  // "wan"
+  } else if (name == "wan") {
     wan.line_rate = Bandwidth::gbps(1);
     wan.rtt = Duration::millis(50);
     wan.loss = 0.001;
+  } else {
+    return std::nullopt;
   }
   return wan;
 }
@@ -46,25 +52,33 @@ sim::WanLinkConfig calibration(const std::string& name) {
 
 int main(int argc, char** argv) {
   const std::string cal = argc > 1 ? argv[1] : "wan";
+  const std::optional<sim::WanLinkConfig> link = calibration(cal);
+  if (argc > 2 || !link) {
+    std::cerr << "usage: disaster_recovery [lan|metro|wan]\n";
+    return 2;
+  }
 
   core::FederationConfig fcfg;
-  fcfg.wan = calibration(cal);
-  // The safe site: Ethernet-only, and only a couple of free hosts.
-  fcfg.site_b.ib_nodes = 0;
-  fcfg.site_b.eth_nodes = 2;
+  // The safe site "b": Ethernet-only, and only a couple of free hosts.
+  core::TestbedConfig safe;
+  safe.ib_nodes = 0;
+  safe.eth_nodes = 2;
+  fcfg.sites = {{"a", core::TestbedConfig{}}, {"b", safe}};
+  fcfg.edges = {{0, 1, *link}};
   core::Federation fed(fcfg);
+  sim::WanLink& wan = fed.wan_link(0);
 
-  std::cout << "link calibration '" << cal << "': rtt " << fed.wan().current_rtt() << ", loss "
-            << fed.wan().config().loss * 100.0 << " %, effective "
-            << TextTable::num(fed.wan().effective_rate() / 1e6, 1) << " MB/s of "
-            << TextTable::num(fed.wan().config().line_rate.bytes_per_second() / 1e6, 1)
+  std::cout << "link calibration '" << cal << "': rtt " << wan.current_rtt() << ", loss "
+            << wan.config().loss * 100.0 << " %, effective "
+            << TextTable::num(wan.effective_rate() / 1e6, 1) << " MB/s of "
+            << TextTable::num(wan.config().line_rate.bytes_per_second() / 1e6, 1)
             << " MB/s line rate\n";
 
   core::JobConfig config;
   config.name = "evacuee";
   config.vm_count = 4;
   config.ranks_per_vm = 4;  // 16 MPI processes
-  core::MpiJob job(fed.site_a(), config);
+  core::MpiJob job(fed.site(0), config);
   // Let the scheduler resolve destination names on either site.
   job.scheduler().set_secondary_resolver(fed.resolver());
   job.init();
@@ -115,5 +129,9 @@ int main(int argc, char** argv) {
   std::cout << "boundary exchange: worst settle "
             << fed.max_exchange_rounds_per_settle() << " rounds, unconverged "
             << fed.unconverged_exchange_count() << "\n";
+  if (fed.unconverged_exchange_count() != 0) {
+    std::cout << "FAIL: a boundary-exchange settle hit the round cap\n";
+    return 1;
+  }
   return 0;
 }

@@ -25,10 +25,12 @@
 //
 //   $ ./examples/mass_evacuation [vms_per_host]
 //
+// Exits 2 unless vms_per_host (default 20) is a positive integer.
 // Exits non-zero unless the planner beats the sequential baseline, the
 // p99 per-VM downtime respects the configured bound, the topology-aware
 // Clos evacuation strictly beats the blind one while keeping every VM
 // inside the bound, and the worker sweep is bit-identical.
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -234,7 +236,22 @@ ClosResult run_clos(bool topology_blind, int solve_workers) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int vms_per_host = argc > 1 ? std::stoi(argv[1]) : 20;
+  int vms_per_host = 20;
+  if (argc > 1) {
+    // Whole-argument positive integer only: "abc", "0", "-3" and "5x" are
+    // all usage errors, not evacuations.
+    const std::string arg = argv[1];
+    std::size_t used = 0;
+    try {
+      vms_per_host = std::stoi(arg, &used);
+    } catch (const std::exception&) {
+      // Not a number, or out of int range: `used` stays 0.
+    }
+    if (argc > 2 || used == 0 || used != arg.size() || vms_per_host <= 0) {
+      std::cerr << "usage: mass_evacuation [vms_per_host > 0]\n";
+      return 2;
+    }
+  }
 
   std::cout << "planning a " << 50 * vms_per_host
             << "-VM evacuation over a 5-site mesh (dc4 is two hops out)...\n";

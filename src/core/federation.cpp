@@ -9,13 +9,6 @@ namespace nm::core {
 
 Federation::Federation(FederationConfig config)
     : config_(std::move(config)), sim_(config_.seed), net_(sim_, config_.solve_workers) {
-  // Normalize the two-site shorthand into the mesh form so everything
-  // downstream is N-site code.
-  if (config_.sites.empty()) {
-    config_.sites.push_back({"a", config_.site_a});
-    config_.sites.push_back({"b", config_.site_b});
-    config_.edges.push_back({0, 1, config_.wan});
-  }
   const std::size_t n = config_.sites.size();
   NM_CHECK(n >= 2, "a federation needs at least two sites");
   {
@@ -101,6 +94,32 @@ Federation::Federation(FederationConfig config)
     }
   }
   install_fabric_routes();
+}
+
+Testbed& Federation::site(std::size_t i) {
+  NM_CHECK(i < sites_.size(), "site index " << i << " out of range");
+  return *sites_[i];
+}
+
+const std::string& Federation::site_name(std::size_t i) const {
+  NM_CHECK(i < site_names_.size(), "site index " << i << " out of range");
+  return site_names_[i];
+}
+
+sim::WanLink& Federation::wan_link(std::size_t e) {
+  NM_CHECK(e < edges_.size(), "edge index " << e << " out of range");
+  return *edges_[e].link;
+}
+
+std::pair<std::size_t, std::size_t> Federation::edge_sites(std::size_t e) const {
+  NM_CHECK(e < edges_.size(), "edge index " << e << " out of range");
+  return {edges_[e].a, edges_[e].b};
+}
+
+const std::vector<std::size_t>& Federation::route(std::size_t i, std::size_t j) const {
+  NM_CHECK(i < routes_.size() && j < routes_.size(),
+           "route (" << i << ", " << j << ") out of range");
+  return routes_[i][j];
 }
 
 plan::SiteGraph Federation::route_graph(bool live_only) const {

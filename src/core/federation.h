@@ -46,19 +46,10 @@ struct FederationEdgeConfig {
 };
 
 struct FederationConfig {
-  /// Two-site shorthand, used when `sites` is empty: site_a and site_b
-  /// coupled by `wan` (named "a" and "b").
-  TestbedConfig site_a;
-  TestbedConfig site_b;
-  /// The inter-datacenter link of the two-site shorthand. Defaults to
-  /// 1 Gbps with no impairments; calibrate rtt/loss/schedule per scenario
-  /// (EXPERIMENTS.md lists the LAN / metro / WAN presets).
-  sim::WanLinkConfig wan;
-
-  /// N-site mesh: named sites plus WAN edges between them. Non-empty
-  /// `sites` overrides the two-site shorthand entirely. Every site should
-  /// be reachable from every other (unconnected pairs simply cannot
-  /// exchange traffic).
+  /// The mesh: at least two named sites plus WAN edges between them. Every
+  /// site should be reachable from every other (unconnected pairs simply
+  /// cannot exchange traffic). A WanLinkConfig defaults to 1 Gbps with no
+  /// impairments; EXPERIMENTS.md lists the LAN / metro / WAN presets.
   std::vector<FederationSiteConfig> sites;
   std::vector<FederationEdgeConfig> edges;
 
@@ -76,7 +67,7 @@ struct FederationConfig {
 
 class Federation {
  public:
-  explicit Federation(FederationConfig config = {});
+  explicit Federation(FederationConfig config);
   Federation(const Federation&) = delete;
   Federation& operator=(const Federation&) = delete;
 
@@ -85,30 +76,22 @@ class Federation {
   [[nodiscard]] sim::FluidNet& net() { return net_; }
   [[nodiscard]] vmm::SharedStorage& storage() { return *storage_; }
 
+  /// Site and edge accessors throw LogicError for an index out of range.
   [[nodiscard]] std::size_t site_count() const { return sites_.size(); }
-  [[nodiscard]] Testbed& site(std::size_t i) { return *sites_[i]; }
-  [[nodiscard]] const std::string& site_name(std::size_t i) const { return site_names_[i]; }
+  [[nodiscard]] Testbed& site(std::size_t i);
+  [[nodiscard]] const std::string& site_name(std::size_t i) const;
   /// Site by configured name; nullptr when absent.
   [[nodiscard]] Testbed* site_by_name(const std::string& name);
-  /// Two-site shorthand accessors (sites 0 and 1).
-  [[nodiscard]] Testbed& site_a() { return site(0); }
-  [[nodiscard]] Testbed& site_b() { return site(1); }
 
   [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
-  [[nodiscard]] sim::WanLink& wan_link(std::size_t e) { return *edges_[e].link; }
+  [[nodiscard]] sim::WanLink& wan_link(std::size_t e);
   /// Endpoint site indices of edge `e`.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> edge_sites(std::size_t e) const {
-    return {edges_[e].a, edges_[e].b};
-  }
-  /// The two-site shorthand's link (edge 0).
-  [[nodiscard]] sim::WanLink& wan() { return wan_link(0); }
+  [[nodiscard]] std::pair<std::size_t, std::size_t> edge_sites(std::size_t e) const;
 
   /// Edge indices of the current fewest-hops route from site `i` to site
   /// `j` (empty when i == j or the pair was unreachable at the last route
   /// computation).
-  [[nodiscard]] const std::vector<std::size_t>& route(std::size_t i, std::size_t j) const {
-    return routes_[i][j];
-  }
+  [[nodiscard]] const std::vector<std::size_t>& route(std::size_t i, std::size_t j) const;
 
   /// Recomputes every pairwise route against the *live* mesh (edges whose
   /// WanLink is not partitioned) and re-registers the fabric routes. A
@@ -130,10 +113,6 @@ class Federation {
   /// Resolver covering every site — hand it to a CloudScheduler's
   /// set_secondary_resolver so migration plans may name peer-site hosts.
   [[nodiscard]] vmm::Monitor::HostResolver resolver();
-  /// The domain owning `res`, across every site (nullptr when foreign).
-  [[nodiscard]] sim::FluidScheduler* domain_of(const sim::FluidResource& res) {
-    return net_.domain_of(res);
-  }
 
   /// Lets every boot-time link on all sites finish training.
   void settle();

@@ -67,8 +67,8 @@ void Testbed::build() {
     sim::FluidScheduler& home =
         config_.blade_domains ? net_->add_domain("blade:" + name) : zone_domain();
     auto& node = cluster.add_node(home, spec);
-    auto host = std::make_unique<vmm::Host>(*sim_, *net_, node, *storage_, config_.hotplug,
-                                            config_.migration);
+    auto host =
+        std::make_unique<vmm::Host>(*net_, node, *storage_, config_.hotplug, config_.migration);
     // 10 GbE uplink on every blade.
     ports_.push_back(
         std::make_unique<net::NicPort>(node, name + ":eth", config_.eth.line_rate));

@@ -19,7 +19,6 @@
 #include "sim/fluid.h"
 #include "sim/fluid_net.h"
 #include "sim/simulation.h"
-#include "sim/solve_pool.h"
 #include "vmm/host.h"
 #include "vmm/storage.h"
 
@@ -89,17 +88,10 @@ class Testbed {
 
   [[nodiscard]] const TestbedConfig& config() const { return config_; }
   [[nodiscard]] sim::Simulation& sim() { return *sim_; }
-  /// The domain-aware flow façade: routes a FlowSpec to the domain owning
-  /// its resources, registering cross-domain specs as boundary flows.
+  /// The one flow entry point and owner of every fluid domain: routes a
+  /// FlowSpec to the domain owning its resources, registering cross-domain
+  /// specs as boundary flows.
   [[nodiscard]] sim::FluidNet& net() { return *net_; }
-  /// The domain owning `res` (nullptr when unregistered or foreign).
-  [[nodiscard]] sim::FluidScheduler* domain_of(const sim::FluidResource& res) {
-    return net_->domain_of(res);
-  }
-  [[nodiscard]] std::size_t domain_count() const { return net_->domain_count(); }
-  [[nodiscard]] sim::FluidScheduler& domain(std::size_t i) { return net_->domain(i); }
-  /// The settle pool every fluid domain settles through. Never null.
-  [[nodiscard]] sim::SolvePool* solve_pool() { return net_->pool(); }
   [[nodiscard]] net::IbFabric& ib_fabric() { return *ib_fabric_; }
   [[nodiscard]] net::EthFabric& eth_fabric() { return *eth_fabric_; }
   /// The intra-site Clos topology behind the Ethernet fabric; nullptr for

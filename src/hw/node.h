@@ -8,6 +8,7 @@
 #include <string>
 
 #include "sim/fluid.h"
+#include "sim/fluid_net.h"
 #include "sim/task.h"
 #include "util/units.h"
 
@@ -38,20 +39,14 @@ class Node {
   [[nodiscard]] sim::FluidResource& cpu() { return cpu_; }
   [[nodiscard]] sim::FluidScheduler& scheduler() { return *scheduler_; }
 
-  /// Starts `core_seconds` of single-threaded work on this node's CPU.
-  /// Over-commit slows it down via fair sharing.
-  [[nodiscard]] sim::FlowPtr start_compute(double core_seconds) {
-    sim::FlowSpec spec{core_seconds, {}, /*max_rate=*/1.0, {}};
-    spec.over(cpu_);
-    return scheduler_->start(std::move(spec));
-  }
-
-  /// Coroutine: runs `core_seconds` of single-threaded work to completion.
+  /// Coroutine: runs `core_seconds` of single-threaded work on this node's
+  /// CPU to completion, started through the domain's net. Over-commit
+  /// slows it down via fair sharing.
   [[nodiscard]] sim::Task compute(double core_seconds) {
-    auto flow = start_compute(core_seconds);
-    if (!flow->finished()) {
-      co_await flow->completion().wait();
-    }
+    // Named spec, not a temporary: see the FlowLabel comment in fluid.h.
+    sim::FlowSpec spec{.work = core_seconds, .max_rate = 1.0};
+    spec.over(cpu_);
+    co_await scheduler_->net().run(std::move(spec));
   }
 
   /// Core-seconds needed to stream-write `n` bytes of memory.

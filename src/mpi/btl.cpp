@@ -23,7 +23,7 @@ sim::Task SmBtl::put(const ModexEntry& peer, Bytes bytes) {
   const double rate = copy_rate_.bytes_per_second();
   std::vector<sim::ResourceShare> shares{{&vm_->vcpu(), 1.0 / rate},
                                          {&vm_->host().node().cpu(), 1.0 / rate}};
-  auto flow = vm_->host().router().start(
+  auto flow = vm_->host().net().start(
       sim::FlowSpec{static_cast<double>(bytes.count()), std::move(shares), rate, {}});
   vm_->track_flow(flow);
   if (!flow->finished()) {

@@ -14,7 +14,7 @@ FabricSpec make_spec(const std::string& name, const EthFabricConfig& config) {
 }
 }  // namespace
 
-EthFabric::EthFabric(sim::FlowRouter& router, std::string name, EthFabricConfig config)
-    : Fabric(router, make_spec(name, config)), config_(config) {}
+EthFabric::EthFabric(sim::FluidNet& net, std::string name, EthFabricConfig config)
+    : Fabric(net, make_spec(name, config)), config_(config) {}
 
 }  // namespace nm::net

@@ -21,7 +21,7 @@ struct EthFabricConfig {
 
 class EthFabric : public Fabric {
  public:
-  EthFabric(sim::FlowRouter& router, std::string name, EthFabricConfig config = {});
+  EthFabric(sim::FluidNet& net, std::string name, EthFabricConfig config = {});
 
   [[nodiscard]] const EthFabricConfig& config() const { return config_; }
 

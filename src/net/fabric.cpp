@@ -22,8 +22,8 @@ std::string_view to_string(LinkState s) {
   return "?";
 }
 
-Fabric::Fabric(sim::FlowRouter& router, FabricSpec spec)
-    : router_(&router), spec_(std::move(spec)), next_address_(spec_.address_base + 1) {}
+Fabric::Fabric(sim::FluidNet& net, FabricSpec spec)
+    : net_(&net), spec_(std::move(spec)), next_address_(spec_.address_base + 1) {}
 
 void Fabric::add_route(Fabric& dst, std::vector<WanHop> hops) {
   NM_CHECK(&dst != this, spec_.name << ": cannot route a fabric to itself");
@@ -261,7 +261,7 @@ sim::Task Fabric::transfer(AttachmentPtr src, FabricAddress dst_addr, Bytes byte
   sim::FlowSpec spec{.work = static_cast<double>(bytes.count()),
                      .shares = std::move(shares),
                      .max_rate = opts.max_rate};
-  co_await router_->run(std::move(spec));
+  co_await net_->run(std::move(spec));
 }
 
 }  // namespace nm::net

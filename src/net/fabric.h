@@ -17,6 +17,7 @@
 
 #include "net/port.h"
 #include "sim/fluid.h"
+#include "sim/fluid_net.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -111,11 +112,10 @@ struct FabricSpec {
 
 class Fabric {
  public:
-  /// `router` carries every transfer's bandwidth flow. A plain
-  /// FluidScheduler works when all endpoints live in one domain; a FluidNet
-  /// additionally lets a transfer span domains (src tx in one blade's
-  /// domain, dst rx in another's) as a boundary flow.
-  Fabric(sim::FlowRouter& router, FabricSpec spec);
+  /// `net` carries every transfer's bandwidth flow; a transfer whose
+  /// endpoints live in different domains (src tx in one blade's domain,
+  /// dst rx in another's) is a boundary flow.
+  Fabric(sim::FluidNet& net, FabricSpec spec);
   virtual ~Fabric() = default;
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -123,8 +123,7 @@ class Fabric {
   [[nodiscard]] const std::string& name() const { return spec_.name; }
   [[nodiscard]] const FabricSpec& spec() const { return spec_; }
   [[nodiscard]] Duration latency() const { return spec_.latency; }
-  [[nodiscard]] sim::Simulation& simulation() { return router_->simulation(); }
-  [[nodiscard]] sim::FlowRouter& router() { return *router_; }
+  [[nodiscard]] sim::Simulation& simulation() { return net_->simulation(); }
 
   /// Plugs `port` into the fabric: allocates an address and starts link
   /// training. The returned attachment reaches Active after linkup_time.
@@ -188,7 +187,7 @@ class Fabric {
   [[nodiscard]] ClosFabric* topology() const { return topology_; }
 
  protected:
-  sim::FlowRouter* router_;
+  sim::FluidNet* net_;
   FabricSpec spec_;
 
  private:

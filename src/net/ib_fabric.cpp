@@ -13,8 +13,8 @@ FabricSpec make_spec(const std::string& name, const IbFabricConfig& config) {
 }
 }  // namespace
 
-IbFabric::IbFabric(sim::FlowRouter& router, std::string name, IbFabricConfig config)
-    : Fabric(router, make_spec(name, config)), config_(config) {}
+IbFabric::IbFabric(sim::FluidNet& net, std::string name, IbFabricConfig config)
+    : Fabric(net, make_spec(name, config)), config_(config) {}
 
 IbFabric::QpState& IbFabric::state_for(const AttachmentPtr& att) {
   NM_CHECK(att != nullptr, "null attachment");

@@ -24,7 +24,7 @@ struct IbFabricConfig {
 
 class IbFabric : public Fabric {
  public:
-  IbFabric(sim::FlowRouter& router, std::string name, IbFabricConfig config = {});
+  IbFabric(sim::FluidNet& net, std::string name, IbFabricConfig config = {});
 
   [[nodiscard]] const IbFabricConfig& config() const { return config_; }
 

@@ -16,10 +16,9 @@ class NicPort {
   NicPort(hw::Node& node, std::string name, Bandwidth line_rate)
       : NicPort(node, std::move(name), line_rate, node.scheduler()) {}
   /// Places tx/rx on an explicit scheduler instead of the node's. Transfers
-  /// through this port may still cross resources in other domains: routed
-  /// through a FluidNet they become boundary flows solved by the
-  /// ghost-capacity exchange (DESIGN.md §6); only a bare FluidScheduler
-  /// requires all shares to stay in one domain.
+  /// through this port may still cross resources in other domains: they
+  /// become boundary flows solved by the ghost-capacity exchange
+  /// (DESIGN.md §6).
   NicPort(hw::Node& node, std::string name, Bandwidth line_rate, sim::FluidScheduler& scheduler)
       : node_(&node),
         name_(std::move(name)),

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "sim/fluid_net.h"
 #include "sim/solve_pool.h"
 
 namespace nm::sim {
@@ -63,23 +64,16 @@ double FluidResource::utilization_over(double consumed_before, Duration window) 
 
 // --- Flow ------------------------------------------------------------------
 
-bool Flow::finished() const {
-  if (!finished_ && scheduler_ != nullptr) {
-    scheduler_->ensure_settled(*this);
-  }
-  return finished_;
-}
-
 double Flow::remaining() const {
   if (!finished_ && scheduler_ != nullptr) {
-    scheduler_->ensure_settled(*this);
+    scheduler_->settle_pending();
   }
   return remaining_;
 }
 
 double Flow::current_rate() const {
   if (!finished_ && scheduler_ != nullptr) {
-    scheduler_->ensure_settled(*this);
+    scheduler_->settle_pending();
   }
   return rate_;
 }
@@ -128,12 +122,13 @@ void Flow::resume() {
 
 // --- FluidScheduler: lifecycle and registry --------------------------------
 
-FluidScheduler::FluidScheduler(SolvePool& pool, std::string name)
-    : sim_(pool.sim_),
+FluidScheduler::FluidScheduler(FluidNet& net, std::string name)
+    : sim_(&net.simulation()),
+      net_(&net),
       name_(std::move(name)),
-      pool_(&pool),
-      pool_domain_(static_cast<std::uint32_t>(pool.attached_.size())) {
-  pool.attached_.push_back(this);
+      pool_(net.pool()),
+      pool_domain_(static_cast<std::uint32_t>(pool_->attached_.size())) {
+  pool_->attached_.push_back(this);
 }
 
 FluidScheduler::~FluidScheduler() {
@@ -258,13 +253,6 @@ FlowPtr FluidScheduler::start(FlowSpec spec) {
   return flow;
 }
 
-Task FlowRouter::run(FlowSpec spec) {
-  auto flow = start(std::move(spec));
-  if (!flow->finished()) {
-    co_await flow->completion().wait();
-  }
-}
-
 // --- FluidScheduler: components --------------------------------------------
 
 FluidScheduler::Component& FluidScheduler::make_component() {
@@ -326,24 +314,13 @@ void FluidScheduler::mark_dirty(Component& comp) {
   pool_->notify_dirty(*this);
 }
 
-void FluidScheduler::ensure_settled(const Flow& flow) {
-  if (pool_->exchange_active()) {
-    // Boundary flows couple domains: dirt anywhere in the pool can move
-    // this flow's rate through the ghost-capacity exchange even while its
-    // own component is clean (e.g. a foreign capacity change releases a
-    // ghost, raising a local flow's fair share). A lone component solve
-    // could also observe rates the exchange would still move. Run the
-    // pool's full multi-round settle whenever anything is pending — it
-    // solves every dirty component to the coupled fixed point.
-    if (pool_->any_dirty()) {
-      pool_->settle();
-    }
-    return;
-  }
-  if (auto* comp = component_of_flow(flow)) {
-    if (comp->dirty) {
-      solve_component(*comp);
-    }
+void FluidScheduler::settle_pending() {
+  // Boundary flows couple domains, so dirt anywhere in the pool can move
+  // this flow's rate; the pool's settle solves every dirty component of
+  // every domain to the coupled fixed point, exactly as the end-of-instant
+  // hook would (which then finds nothing left to do).
+  if (pool_->any_dirty()) {
+    pool_->settle();
   }
 }
 
@@ -374,11 +351,6 @@ void FluidScheduler::integrate_component(Component& comp) {
     }
     f->last_update_ = now;
   }
-}
-
-void FluidScheduler::solve_component(Component& comp) {
-  compute_component(comp, serial_scratch_, serial_result_);
-  commit_component(comp, serial_result_);
 }
 
 void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, SolveResult& out) {

@@ -148,7 +148,7 @@ struct ResourceShare {
 /// the coroutine frame bitwise, which corrupts std::string's SSO
 /// self-pointer (the relocated copy still points at the old buffer and
 /// free()s a frame address on destruction). A FlowSpec temporary inside a
-/// `co_await router.run(FlowSpec{...}...)` statement is exactly such a
+/// `co_await net.run(FlowSpec{...}...)` statement is exactly such a
 /// temporary, so every member must tolerate a bitwise move — vectors do
 /// (heap pointers only), SSO strings do not. Empty labels (the hot path)
 /// never allocate.
@@ -167,11 +167,11 @@ class FlowLabel {
 /// Everything needed to start a flow, in one aggregate. Build it with
 /// designated initializers, or chain `over()` to add weighted shares:
 ///
-///   router.start(FlowSpec{.work = bytes, .name = "tx"}
-///                    .over(tx).over(rx).over(cpu, 1e-9));
+///   net.start(FlowSpec{.work = bytes, .name = "tx"}
+///                 .over(tx).over(rx).over(cpu, 1e-9));
 ///
-/// This is the one flow-creation entry point (see FlowRouter); the old
-/// `FluidScheduler::start(work, shares, max_rate)` overloads are gone.
+/// FluidNet::start (and its coroutine form FluidNet::run) is the one way
+/// to admit a flow.
 struct FlowSpec {
   /// Work units to move (bytes, core-seconds, ...). Zero-work flows
   /// complete immediately.
@@ -202,7 +202,15 @@ struct FlowSpec {
 /// modelling code (e.g. "pause the VM") can reach it.
 class alignas(64) Flow {
  public:
-  [[nodiscard]] bool finished() const;
+  /// Pure read of committed state, like FluidResource::consumed(): a flow
+  /// becomes finished when the end-of-instant settle commits its
+  /// completion, never earlier in the instant. A zero-work flow is
+  /// finished from admission on.
+  [[nodiscard]] bool finished() const { return finished_; }
+  /// Residual work and current rate as of the last solve. When any
+  /// component of the flow's net is dirty, they first run the same
+  /// SolvePool settle the end-of-instant hook runs, so they never observe
+  /// rates the settle would still move. Read only by tests and tools.
   [[nodiscard]] double remaining() const;
   [[nodiscard]] double current_rate() const;
   [[nodiscard]] Event& completion() { return done_; }
@@ -278,21 +286,6 @@ class alignas(64) Flow {
 
 using FlowPtr = std::shared_ptr<Flow>;
 
-/// Anything that can admit a FlowSpec: a single FluidScheduler, or the
-/// multi-domain FluidNet façade (fluid_net.h) that routes each spec to the
-/// owning domain and registers specs whose resources span domains as
-/// boundary flows. Modelling code (fabrics, hosts, storage) holds a
-/// FlowRouter& so it works unchanged under any domain partitioning.
-class FlowRouter {
- public:
-  virtual ~FlowRouter() = default;
-  [[nodiscard]] virtual Simulation& simulation() = 0;
-  /// Starts the described flow. Every resource must outlive the flow.
-  virtual FlowPtr start(FlowSpec spec) = 0;
-  /// Coroutine helper: start the flow and wait for its completion.
-  [[nodiscard]] Task run(FlowSpec spec);
-};
-
 /// A topology shard: one independently-solved fluid domain over the shared
 /// simulation clock. Only FluidNet::add_domain creates one, attached to the
 /// net's SolvePool, which settles every domain of the net. When the
@@ -300,30 +293,25 @@ class FlowRouter {
 /// spans domains) the split is exact: rates in one domain never depend on
 /// another domain's state, and every domain's timers drain through the one
 /// simulation's (time, sequence) event queue, so the merged timeline is
-/// bit-identical for every valid partitioning. Flows that do span domains
-/// are admitted through FluidNet as boundary flows: the settle-time
-/// ghost-capacity exchange couples the domains' solves and converges to
-/// the same max-min rates one merged domain would compute — see DESIGN.md
-/// §6. Resources of distinct domains may be constructed from distinct
-/// threads (each touches only its own domain's registry; the shared
-/// Simulation takes no posts) — see bench_scalability and
-/// sim_sharding_test.
-class FluidScheduler : public FlowRouter {
+/// bit-identical for every valid partitioning. Every flow is admitted
+/// through FluidNet::start; one that spans domains becomes a boundary
+/// flow, and the settle-time ghost-capacity exchange couples the domains'
+/// solves and converges to the same max-min rates one merged domain would
+/// compute — see DESIGN.md §6. Resources of distinct domains may be
+/// constructed from distinct threads (each touches only its own domain's
+/// registry; the shared Simulation takes no posts) — see bench_scalability
+/// and sim_sharding_test.
+class FluidScheduler {
  public:
-  ~FluidScheduler() override;
+  ~FluidScheduler();
   FluidScheduler(const FluidScheduler&) = delete;
   FluidScheduler& operator=(const FluidScheduler&) = delete;
 
-  [[nodiscard]] Simulation& simulation() override { return *sim_; }
+  [[nodiscard]] Simulation& simulation() { return *sim_; }
+  /// The net this domain belongs to: the one place its flows start.
+  [[nodiscard]] FluidNet& net() { return *net_; }
   /// The domain name given to FluidNet::add_domain.
   [[nodiscard]] const std::string& name() const { return name_; }
-
-  /// Starts a flow described by `spec`. A zero-work flow completes
-  /// immediately. Every resource must outlive the flow and be owned by this
-  /// scheduler (a spec that spans domains must go through FluidNet, which
-  /// owns the boundary-flow machinery).
-  FlowPtr start(FlowSpec spec) override;
-  using FlowRouter::run;
 
   [[nodiscard]] std::size_t active_flow_count() const { return flows_.size(); }
   /// Number of connected flow/resource components currently tracked.
@@ -337,9 +325,15 @@ class FluidScheduler : public FlowRouter {
 
   static constexpr std::uint32_t kNone = 0xffffffffU;
 
-  /// Attaches the new domain to `pool` (and its simulation); attach order
-  /// is the domain's canonical id.
-  FluidScheduler(SolvePool& pool, std::string name);
+  /// Attaches the new domain to `net`'s pool (and its simulation); attach
+  /// order is the domain's canonical id.
+  FluidScheduler(FluidNet& net, std::string name);
+
+  /// Admits a flow over resources all owned by this domain (FluidNet::start
+  /// routes here, and registers specs spanning domains as boundary flows).
+  /// A zero-work flow completes immediately. Every resource must outlive
+  /// the flow.
+  FlowPtr start(FlowSpec spec);
 
   /// A connected component of the flow/resource bipartite graph: the unit
   /// of incremental re-solving. `gen` invalidates its outstanding
@@ -383,8 +377,8 @@ class FluidScheduler : public FlowRouter {
     Layout layout;
   };
 
-  /// Scratch for the pure compute phase of a solve, owned per worker (and
-  /// once per scheduler for ensure_settled's serial path). Rows are
+  /// Scratch for the pure compute phase of a solve, owned per SolvePool
+  /// thread (each worker plus the simulation thread). Rows are
   /// slot-indexed into the owning scheduler's resource registry and
   /// initialized per component before use, so one scratch can serve
   /// components from any scheduler — it only ever needs to be grown, never
@@ -437,13 +431,10 @@ class FluidScheduler : public FlowRouter {
   /// Merges `src` into `dst` (flows, resources, dirtiness) and retires it.
   void merge_into(Component& dst, Component& src);
   void mark_dirty(Component& comp);
-  /// Brings one flow's component up to date (getter entry point).
-  void ensure_settled(const Flow& flow);
+  /// Runs the pool's settle now when any domain of the net is dirty (the
+  /// remaining()/current_rate() entry point).
+  void settle_pending();
 
-  /// Integrate + complete + re-solve + re-arm timer for one component:
-  /// compute_component + commit_component back to back (ensure_settled's
-  /// serial path).
-  void solve_component(Component& comp);
   /// The pure compute phase of a solve: integrates progress, detects
   /// completions, compacts the component's flow list, and re-solves rates
   /// and consumption stamps — touching only the component's own flows and
@@ -490,6 +481,7 @@ class FluidScheduler : public FlowRouter {
   void retire_flow_global(Flow& flow);
 
   Simulation* sim_;
+  FluidNet* net_;
   std::string name_;
   std::vector<FlowPtr> flows_;
 
@@ -511,10 +503,6 @@ class FluidScheduler : public FlowRouter {
   SolvePool* pool_;
   std::uint32_t pool_domain_;      // attach order = canonical domain id
   bool pool_dirty_ = false;        // this scheduler has unsettled components
-
-  // Solve scratch/result for ensure_settled's serial path.
-  SolveScratch serial_scratch_;
-  SolveResult serial_result_;
 
   std::size_t retired_since_rebuild_ = 0;
   std::uint32_t next_gen_ = 0;

@@ -41,13 +41,11 @@ bool cap_slack(double rate, double cap) { return cap > rate * (1.0 + 1e-9); }
 }  // namespace
 
 FluidNet::FluidNet(Simulation& sim, int workers)
-    : sim_(&sim), pool_(std::make_unique<SolvePool>(sim, workers)) {
-  pool_->set_exchange(this);
-}
+    : sim_(&sim), pool_(std::make_unique<SolvePool>(*this, workers)) {}
 
 FluidScheduler& FluidNet::add_domain(std::string name) {
   // The constructor is private to FluidNet, so make_unique cannot reach it.
-  domains_.push_back(std::unique_ptr<FluidScheduler>(new FluidScheduler(*pool_, std::move(name))));
+  domains_.push_back(std::unique_ptr<FluidScheduler>(new FluidScheduler(*this, std::move(name))));
   return *domains_.back();
 }
 
@@ -57,9 +55,8 @@ FluidScheduler& FluidNet::domain(std::size_t index) {
 }
 
 FluidScheduler* FluidNet::domain_of(const FluidResource& res) {
-  // A domain belongs to this net exactly when it settles through its pool.
   FluidScheduler* owner = res.scheduler_;
-  return owner != nullptr && owner->pool_ == pool_.get() ? owner : nullptr;
+  return owner != nullptr && owner->net_ == this ? owner : nullptr;
 }
 
 FlowPtr FluidNet::start(FlowSpec spec) {
@@ -116,6 +113,13 @@ FlowPtr FluidNet::start(FlowSpec spec) {
   }
   boundary_.push_back(std::move(entry));
   return boundary_.back().home;
+}
+
+Task FluidNet::run(FlowSpec spec) {
+  auto flow = start(std::move(spec));
+  if (!flow->finished()) {
+    co_await flow->completion().wait();
+  }
 }
 
 void FluidNet::mark(FluidScheduler* sched, const Flow& flow,

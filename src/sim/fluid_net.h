@@ -1,21 +1,23 @@
-// FluidNet: the domain-aware flow façade and the one owner of fluid state.
+// FluidNet: the one way to start a flow and the one owner of fluid state.
 // It owns a set of domains (topology shards, each an independently-solved
 // FluidScheduler on the shared clock, settled by the net's SolvePool) and
-// routes every FlowSpec to the domain owning its resources. A spec whose
+// routes every FlowSpec to the domain owning its resources — fabrics,
+// hosts, storage and nodes all start their flows here. A spec whose
 // resources span domains becomes a *boundary flow*: the flow itself lives
 // in its home domain, and each foreign domain hosts a ghost flow mirroring
 // the boundary flow's demand onto the foreign resources it crosses.
 //
 // The coupling runs at settle points, driven by the SolvePool (see
-// solve_pool.h): after each parallel compute round the net publishes every
-// boundary flow's freshly-solved home rate into its ghosts' rate caps, and
-// folds the ghosts' *capacity offers* — the rate each foreign resource
-// could grant the ghost, read off the last solve's binding level and free
-// capacity — back into the home flow's boundary cap. Components whose
-// inputs moved are re-solved, and the loop repeats until a fixed point (at
-// which the cross-domain rates equal the merged single-domain max-min
-// solution; see DESIGN.md §6). The exchange is serial and the commit order
-// canonical, so timelines stay bit-identical at every worker count.
+// solve_pool.h), which calls exchange() directly: after each parallel
+// compute round the net publishes every boundary flow's freshly-solved
+// home rate into its ghosts' rate caps, and folds the ghosts' *capacity
+// offers* — the rate each foreign resource could grant the ghost, read off
+// the last solve's binding level and free capacity — back into the home
+// flow's boundary cap. Components whose inputs moved are re-solved, and
+// the loop repeats until a fixed point (at which the cross-domain rates
+// equal the merged single-domain max-min solution; see DESIGN.md §6). The
+// exchange is serial and the commit order canonical, so timelines stay
+// bit-identical at every worker count.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +28,11 @@
 
 #include "sim/fluid.h"
 #include "sim/solve_pool.h"
+#include "sim/task.h"
 
 namespace nm::sim {
 
-class FluidNet final : public FlowRouter, private SettleExchange {
+class FluidNet final {
  public:
   /// A net over `sim` whose SolvePool runs `workers` compute threads (0:
   /// the simulation thread solves every batch itself). Every domain settles
@@ -47,14 +50,18 @@ class FluidNet final : public FlowRouter, private SettleExchange {
   /// gone or belongs to another net.
   [[nodiscard]] FluidScheduler* domain_of(const FluidResource& res);
 
-  [[nodiscard]] Simulation& simulation() override { return *sim_; }
+  [[nodiscard]] Simulation& simulation() { return *sim_; }
 
   /// Routes `spec` to the domain owning its resources; every resource must
   /// be owned by a domain of this net. A spec spanning domains starts a
   /// boundary flow: the returned handle is the home flow — its
   /// rate/remaining/completion behave exactly like a local flow's, while
-  /// ghost flows mirror its consumption into the foreign domains.
-  FlowPtr start(FlowSpec spec) override;
+  /// ghost flows mirror its consumption into the foreign domains. A
+  /// zero-work flow completes at once. Every resource must outlive the
+  /// flow.
+  FlowPtr start(FlowSpec spec);
+  /// Coroutine helper: start the flow and wait for its completion.
+  [[nodiscard]] Task run(FlowSpec spec);
 
   /// The pool driving every settle, parallel solves and the boundary
   /// exchange. Never null.
@@ -96,9 +103,14 @@ class FluidNet final : public FlowRouter, private SettleExchange {
     std::vector<GhostLink> ghosts;
   };
 
-  // SettleExchange:
-  [[nodiscard]] bool active() const override { return !boundary_.empty(); }
-  void exchange(std::vector<std::pair<FluidScheduler*, std::uint32_t>>& dirtied) override;
+  friend class SolvePool;
+
+  /// Runs one Jacobi exchange over the boundary registry: publish each
+  /// freshly-solved home rate into its ghosts' caps and fold the ghosts'
+  /// capacity offers back into the home flow's boundary cap. Appends every
+  /// (scheduler, component id) whose inputs moved to `dirtied`. Called by
+  /// the pool, serially on the simulation thread between compute rounds.
+  void exchange(std::vector<std::pair<FluidScheduler*, std::uint32_t>>& dirtied);
 
   /// Serially removes a finished boundary flow's ghost from its foreign
   /// component (preserving flow order) and retires it without firing its

@@ -2,18 +2,19 @@
 
 #include <algorithm>
 
+#include "sim/fluid_net.h"
 #include "util/error.h"
 
 namespace nm::sim {
 
-SolvePool::SolvePool(Simulation& sim, int workers) : sim_(&sim) {
+SolvePool::SolvePool(FluidNet& net, int workers) : net_(&net), sim_(&net.simulation()) {
   NM_CHECK(workers >= 0, "negative SolvePool worker count");
   scratch_.resize(static_cast<std::size_t>(workers) + 1);  // + the sim thread
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this, i] { worker_main(static_cast<std::size_t>(i)); });
   }
-  hook_id_ = sim.add_settle_hook([this] { settle(); });
+  hook_id_ = sim_->add_settle_hook([this] { settle(); });
 }
 
 SolvePool::~SolvePool() {
@@ -45,8 +46,8 @@ void SolvePool::notify_dirty(FluidScheduler& scheduler) {
 void SolvePool::settle() {
   // Phase 0 (serial): collect the batch in canonical order. Schedulers are
   // walked in attach (= domain id) order and their dirty lists re-checked
-  // against the authoritative per-component flag (ensure_settled may have
-  // already solved some serially; merges retire components). Component ids
+  // against the authoritative per-component flag (merges retire
+  // components). Component ids
   // are unique within a dirty list (the flag dedups marks) and ascending
   // within it is not guaranteed, so sort below.
   tasks_.clear();
@@ -87,8 +88,8 @@ void SolvePool::settle() {
     ++parallel_settles_;
   }
 
-  // Phase 1: compute. Round 0 solves every collected component; when a
-  // SettleExchange with live boundary flows is registered, further rounds
+  // Phase 1: compute. Round 0 solves every collected component; while the
+  // net has live boundary flows, further rounds
   // alternate a serial exchange (publish boundary rates, refresh ghost
   // caps) with a recompute of whatever the exchange moved, until the
   // coupled rates reach a fixed point. Nothing is committed until every
@@ -97,7 +98,7 @@ void SolvePool::settle() {
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     pending_[i] = i;
   }
-  if (!exchange_active()) {
+  if (net_->boundary_flow_count() == 0) {
     compute_pending();
   } else {
     std::size_t rounds = 0;
@@ -121,7 +122,7 @@ void SolvePool::settle() {
         break;
       }
       dirtied_.clear();
-      exchange_->exchange(dirtied_);
+      net_->exchange(dirtied_);
       if (dirtied_.empty()) {
         break;  // fixed point
       }

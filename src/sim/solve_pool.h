@@ -7,7 +7,10 @@
 //      mark_dirty (and completion-timer firings) to the pool, which arms
 //      its kernel settle hook. The hook runs at the end of the simulated
 //      instant, so every component dirtied at that instant — across all
-//      domains — is collected into one batch.
+//      domains — is collected into one batch. This settle is the only code
+//      that solves a component: Flow::remaining()/current_rate() run the
+//      same settle early when something is dirty, and Flow::finished() is a
+//      pure read.
 //   2. The batch is sorted by (domain id, component id) — a canonical
 //      order independent of mark order and of worker count.
 //   3. Workers (plus the simulation thread) run only the *pure compute*
@@ -33,46 +36,23 @@
 
 namespace nm::sim {
 
-/// Cross-domain coupling hook (implemented by FluidNet). When boundary
-/// flows exist the pool interleaves compute rounds with exchange() calls —
-/// solve dirty components against the current ghost caps, publish the
-/// boundary rates, re-solve whatever moved — until a fixed point, then
-/// commits every touched component exactly once in canonical order.
-class SettleExchange {
- public:
-  virtual ~SettleExchange() = default;
-  /// True when at least one boundary flow is registered (enables
-  /// multi-round settling; with none the pool keeps its single-round path).
-  [[nodiscard]] virtual bool active() const = 0;
-  /// Runs one Jacobi exchange over the boundary registry: publish each
-  /// freshly-solved home rate into its ghosts' caps and fold the ghosts'
-  /// capacity offers back into the home flow's boundary cap. Appends every
-  /// (scheduler, component id) whose inputs moved to `dirtied`. Called
-  /// serially on the simulation thread between compute rounds.
-  virtual void exchange(std::vector<std::pair<FluidScheduler*, std::uint32_t>>& dirtied) = 0;
-};
-
 class SolvePool {
  public:
   /// Spawns `workers` persistent threads (>= 0; with 0 the simulation
   /// thread computes every batch itself — the pool then only provides the
   /// settle-hook batching and the exchange loop) and registers the settle
-  /// hook with `sim`. Schedulers attach themselves at construction (see
-  /// FluidNet::add_domain); the pool must outlive every one of them and be
-  /// destroyed before `sim`.
-  SolvePool(Simulation& sim, int workers);
+  /// hook with `net`'s simulation. Only `net` creates its pool; its
+  /// schedulers attach themselves at construction (see
+  /// FluidNet::add_domain). The pool must outlive every one of them and be
+  /// destroyed before the simulation.
+  SolvePool(FluidNet& net, int workers);
   ~SolvePool();
   SolvePool(const SolvePool&) = delete;
   SolvePool& operator=(const SolvePool&) = delete;
 
-  /// Registers (or clears, with nullptr) the cross-domain exchange driver.
-  void set_exchange(SettleExchange* exchange) { exchange_ = exchange; }
-  [[nodiscard]] bool exchange_active() const {
-    return exchange_ != nullptr && exchange_->active();
-  }
   /// True when any attached scheduler has components waiting for the next
-  /// settle point. Readers use it to decide whether a coupled (exchange)
-  /// settle must run before rates can be observed.
+  /// settle point. Readers use it to decide whether a settle must run
+  /// before rates can be observed.
   [[nodiscard]] bool any_dirty() const;
 
   [[nodiscard]] int worker_count() const { return static_cast<int>(workers_.size()); }
@@ -125,7 +105,10 @@ class SolvePool {
   /// settle hook for the current instant.
   void notify_dirty(FluidScheduler& scheduler);
   /// The settle hook body: collect → (parallel compute ↔ serial exchange)*
-  /// → serial commit in canonical order.
+  /// → serial commit in canonical order. While the net has boundary flows,
+  /// compute rounds alternate with its exchange (FluidNet::exchange:
+  /// publish boundary rates, refresh ghost caps) until a fixed point;
+  /// without boundary flows one compute round settles everything.
   void settle();
   /// Computes every task listed in pending_ (parallel when workers exist
   /// and the round has 2+ tasks), then rethrows the first compute error in
@@ -134,11 +117,11 @@ class SolvePool {
   void run_compute(std::size_t task_index, std::size_t scratch_index);
   void worker_main(std::size_t worker_index);
 
+  FluidNet* net_;
   Simulation* sim_;
   std::uint64_t hook_id_ = 0;
   /// Attach-ordered: index = canonical domain id.
   std::vector<FluidScheduler*> attached_;
-  SettleExchange* exchange_ = nullptr;
 
   // The task batch for the current settle. Published to workers under
   // `mutex_` by bumping `epoch_`; pending indices are claimed under the

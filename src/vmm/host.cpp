@@ -6,10 +6,10 @@
 
 namespace nm::vmm {
 
-Host::Host(sim::Simulation& sim, sim::FlowRouter& router, hw::Node& node,
-           SharedStorage& storage, HotplugTiming timing, MigrationConfig migration)
-    : sim_(&sim),
-      router_(&router),
+Host::Host(sim::FluidNet& net, hw::Node& node, SharedStorage& storage, HotplugTiming timing,
+           MigrationConfig migration)
+    : sim_(&net.simulation()),
+      net_(&net),
       node_(&node),
       storage_(&storage),
       timing_(timing),

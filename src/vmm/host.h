@@ -13,6 +13,7 @@
 #include "net/eth_fabric.h"
 #include "net/ib_fabric.h"
 #include "net/port.h"
+#include "sim/fluid_net.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
 #include "vmm/migration.h"
@@ -40,18 +41,17 @@ struct HotplugTiming {
 
 class Host {
  public:
-  /// `router` carries the host's guest-compute and shared-memory flows; a
-  /// FluidNet router lets them span domains when hosts are carved into
-  /// per-blade domains.
-  Host(sim::Simulation& sim, sim::FlowRouter& router, hw::Node& node,
-       SharedStorage& storage, HotplugTiming timing = {}, MigrationConfig migration = {});
+  /// `net` carries the host's guest-compute and shared-memory flows, which
+  /// span domains when hosts are carved into per-blade domains.
+  Host(sim::FluidNet& net, hw::Node& node, SharedStorage& storage, HotplugTiming timing = {},
+       MigrationConfig migration = {});
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
 
   [[nodiscard]] const std::string& name() const { return node_->name(); }
   [[nodiscard]] hw::Node& node() { return *node_; }
   [[nodiscard]] sim::Simulation& simulation() { return *sim_; }
-  [[nodiscard]] sim::FlowRouter& router() { return *router_; }
+  [[nodiscard]] sim::FluidNet& net() { return *net_; }
   [[nodiscard]] SharedStorage& storage() { return *storage_; }
   [[nodiscard]] HotplugTiming& hotplug_timing() { return timing_; }
   [[nodiscard]] MigrationEngine& migration_engine() { return migration_; }
@@ -113,7 +113,7 @@ class Host {
   };
 
   sim::Simulation* sim_;
-  sim::FlowRouter* router_;
+  sim::FluidNet* net_;
   hw::Node* node_;
   SharedStorage* storage_;
   HotplugTiming timing_;

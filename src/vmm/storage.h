@@ -10,6 +10,7 @@
 
 #include "hw/node.h"
 #include "sim/fluid.h"
+#include "sim/fluid_net.h"
 #include "sim/task.h"
 #include "util/units.h"
 
@@ -17,12 +18,12 @@ namespace nm::vmm {
 
 class SharedStorage {
  public:
-  /// The throughput resource registers into `home` eagerly; `router`
-  /// carries the IO flows, which also cross the client node's CPU — with a
-  /// FluidNet router that CPU may live in another domain (boundary flow).
-  SharedStorage(sim::FlowRouter& router, sim::FluidScheduler& home, std::string name,
+  /// The throughput resource registers into `home`, a domain of `net`;
+  /// `net` carries the IO flows, which also cross the client node's CPU —
+  /// that CPU may live in another domain (boundary flow).
+  SharedStorage(sim::FluidNet& net, sim::FluidScheduler& home, std::string name,
                 Bandwidth throughput = Bandwidth::mib_per_sec(300))
-      : router_(&router),
+      : net_(&net),
         name_(std::move(name)),
         throughput_(home, "nfs:" + name_, throughput.bytes_per_second()) {}
   SharedStorage(const SharedStorage&) = delete;
@@ -46,10 +47,10 @@ class SharedStorage {
     sim::FlowSpec spec{.work = static_cast<double>(bytes.count())};
     spec.shares = {{&throughput_, 1.0},
                    {&via.cpu(), 1.0 / (1024.0 * 1024.0 * 1024.0)}};
-    co_await router_->run(std::move(spec));
+    co_await net_->run(std::move(spec));
   }
 
-  sim::FlowRouter* router_;
+  sim::FluidNet* net_;
   std::string name_;
   sim::FluidResource throughput_;
 };

@@ -7,13 +7,12 @@
 
 namespace nm::vmm {
 
-Vm::Vm(sim::Simulation& sim, sim::FluidScheduler& scheduler, VmSpec spec, Host& host)
+Vm::Vm(sim::Simulation& sim, sim::FluidScheduler& domain, VmSpec spec, Host& host)
     : sim_(&sim),
-      scheduler_(&scheduler),
       spec_(std::move(spec)),
       host_(&host),
       memory_(spec_.memory),
-      vcpu_(scheduler, "vcpu:" + spec_.name, spec_.vcpus),
+      vcpu_(domain, "vcpu:" + spec_.name, spec_.vcpus),
       run_gate_(sim, /*initially_open=*/true),
       hotplug_events_(sim),
       symvirt_cycle_(std::make_unique<sim::Event>(sim)),
@@ -70,7 +69,7 @@ sim::Task Vm::compute(double core_seconds) {
   // Routed through the host: after a migration the vCPU resource stays in
   // its boot domain while the current host's cores may live in another, so
   // guest work can be a boundary flow.
-  auto flow = host_->router().start(
+  auto flow = host_->net().start(
       sim::FlowSpec{core_seconds, std::move(shares), /*max_rate=*/1.0, {}});
   track_flow(flow);
   if (!flow->finished()) {

@@ -42,7 +42,9 @@ enum class VmState { kRunning, kPaused };
 
 class Vm {
  public:
-  Vm(sim::Simulation& sim, sim::FluidScheduler& scheduler, VmSpec spec, Host& host);
+  /// The vCPU allotment registers into `domain` (the boot host's domain)
+  /// and stays there for the VM's lifetime.
+  Vm(sim::Simulation& sim, sim::FluidScheduler& domain, VmSpec spec, Host& host);
   Vm(const Vm&) = delete;
   Vm& operator=(const Vm&) = delete;
 
@@ -51,7 +53,6 @@ class Vm {
   [[nodiscard]] GuestMemory& memory() { return memory_; }
   [[nodiscard]] const GuestMemory& memory() const { return memory_; }
   [[nodiscard]] sim::Simulation& simulation() { return *sim_; }
-  [[nodiscard]] sim::FluidScheduler& scheduler() { return *scheduler_; }
 
   [[nodiscard]] Host& host() { return *host_; }
   /// Migration engine only: re-homes the VM and re-binds virtio devices.
@@ -98,7 +99,6 @@ class Vm {
   void prune_tracked_flows();
 
   sim::Simulation* sim_;
-  sim::FluidScheduler* scheduler_;
   VmSpec spec_;
   Host* host_;
   GuestMemory memory_;

@@ -100,7 +100,7 @@ struct MergedTopo {
       for (std::size_t s = 0; s < fd.res.size(); ++s) {
         spec.over(*res[fd.res[s]], fd.weight[s]);
       }
-      flows.push_back(sched.start(std::move(spec)));
+      flows.push_back(net.start(std::move(spec)));
     }
   }
 };

@@ -173,7 +173,7 @@ void run_one_topology(std::uint32_t seed) {
     }
     const double cap = unit(rng) < 0.4 ? flow_cap_dist(rng) : kUncappedRate;
     // Work far beyond what the mutation window can drain: no completions.
-    topo.flows.push_back(topo.sched.start(FlowSpec{1e15, std::move(shares), cap, {}}));
+    topo.flows.push_back(topo.net.start(FlowSpec{1e15, std::move(shares), cap, {}}));
   }
   check_against_reference(topo, seed, /*step=*/-1);
 

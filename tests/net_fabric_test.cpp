@@ -42,7 +42,7 @@ TEST(Fabric, AttachTrainsThenActive) {
   TestBed tb;
   IbFabricConfig cfg;
   cfg.linkup_time = Duration::seconds(29.9);
-  IbFabric ib(tb.sched, "ib0", cfg);
+  IbFabric ib(tb.net, "ib0", cfg);
   auto& node = tb.add_node("n0");
   auto& port = tb.add_port(node, "n0-hca", cfg.data_rate);
 
@@ -62,7 +62,7 @@ TEST(Fabric, AttachTrainsThenActive) {
 
 TEST(Fabric, EthernetLinkUpIsImmediate) {
   TestBed tb;
-  EthFabric eth(tb.sched, "eth0");
+  EthFabric eth(tb.net, "eth0");
   auto& node = tb.add_node("n0");
   auto& port = tb.add_port(node, "n0-eth", Bandwidth::gbps(10));
   auto att = eth.attach(port);
@@ -73,7 +73,7 @@ TEST(Fabric, EthernetLinkUpIsImmediate) {
 
 TEST(Fabric, DetachInvalidatesLid) {
   TestBed tb;
-  IbFabric ib(tb.sched, "ib0");
+  IbFabric ib(tb.net, "ib0");
   auto& node = tb.add_node("n0");
   auto& port = tb.add_port(node, "n0-hca", Bandwidth::gbps(32));
   auto att = ib.attach(port);
@@ -88,7 +88,7 @@ TEST(Fabric, DetachInvalidatesLid) {
 TEST(Fabric, ReattachAssignsFreshLid) {
   // The paper relies on Open MPI tolerating changed LIDs after migration.
   TestBed tb;
-  IbFabric ib(tb.sched, "ib0");
+  IbFabric ib(tb.net, "ib0");
   auto& node = tb.add_node("n0");
   auto& port = tb.add_port(node, "n0-hca", Bandwidth::gbps(32));
   auto att1 = ib.attach(port);
@@ -103,7 +103,7 @@ TEST(Fabric, ReattachAssignsFreshLid) {
 
 TEST(Fabric, DetachDuringTrainingNeverActivates) {
   TestBed tb;
-  IbFabric ib(tb.sched, "ib0");
+  IbFabric ib(tb.net, "ib0");
   auto& node = tb.add_node("n0");
   auto& port = tb.add_port(node, "n0-hca", Bandwidth::gbps(32));
   auto att = ib.attach(port);
@@ -115,7 +115,7 @@ TEST(Fabric, DetachDuringTrainingNeverActivates) {
 
 TEST(Fabric, EthRebindKeepsAddressAcrossHosts) {
   TestBed tb;
-  EthFabric eth(tb.sched, "eth0");
+  EthFabric eth(tb.net, "eth0");
   auto& src_host = tb.add_node("src");
   auto& dst_host = tb.add_node("dst");
   auto& src_port = tb.add_port(src_host, "src-eth", Bandwidth::gbps(10));
@@ -136,7 +136,7 @@ TEST(Fabric, EthRebindKeepsAddressAcrossHosts) {
 
 TEST(Fabric, RebindOnIbRejected) {
   TestBed tb;
-  IbFabric ib(tb.sched, "ib0");
+  IbFabric ib(tb.net, "ib0");
   auto& node = tb.add_node("n0");
   auto& port = tb.add_port(node, "hca", Bandwidth::gbps(32));
   auto att = ib.attach(port);
@@ -147,7 +147,7 @@ TEST(Fabric, TransferTimeMatchesLineRate) {
   TestBed tb;
   EthFabricConfig cfg;
   cfg.latency = Duration::micros(30);
-  EthFabric eth(tb.sched, "eth0", cfg);
+  EthFabric eth(tb.net, "eth0", cfg);
   auto& a = tb.add_node("a");
   auto& b = tb.add_node("b");
   auto& pa = tb.add_port(a, "a-eth", Bandwidth::gbps(10));
@@ -171,7 +171,7 @@ TEST(Fabric, TransferTimeMatchesLineRate) {
 TEST(Fabric, TransferChargesCpu) {
   // With a per-byte CPU cost and a nearly idle CPU, the rate is CPU-bound.
   TestBed tb;
-  EthFabric eth(tb.sched, "eth0");
+  EthFabric eth(tb.net, "eth0");
   auto& a = tb.add_node("a", /*cores=*/1.0);
   auto& b = tb.add_node("b", /*cores=*/8.0);
   auto& pa = tb.add_port(a, "a-eth", Bandwidth::gbps(10));
@@ -196,7 +196,7 @@ TEST(Fabric, TransferChargesCpu) {
 TEST(Fabric, TransferMaxRateCap) {
   // QEMU's single-threaded migration: capped well below 10 GbE line rate.
   TestBed tb;
-  EthFabric eth(tb.sched, "eth0");
+  EthFabric eth(tb.net, "eth0");
   auto& a = tb.add_node("a");
   auto& b = tb.add_node("b");
   auto& pa = tb.add_port(a, "a-eth", Bandwidth::gbps(10));
@@ -219,7 +219,7 @@ TEST(Fabric, TransferMaxRateCap) {
 
 TEST(Fabric, TransferToStaleLidFails) {
   TestBed tb;
-  IbFabric ib(tb.sched, "ib0");
+  IbFabric ib(tb.net, "ib0");
   auto& a = tb.add_node("a");
   auto& b = tb.add_node("b");
   auto& pa = tb.add_port(a, "a-hca", Bandwidth::gbps(32));
@@ -246,7 +246,7 @@ TEST(Fabric, TransferToStaleLidFails) {
 
 TEST(Fabric, TransferFromInactiveLinkFails) {
   TestBed tb;
-  IbFabric ib(tb.sched, "ib0");
+  IbFabric ib(tb.net, "ib0");
   auto& a = tb.add_node("a");
   auto& pa = tb.add_port(a, "a-hca", Bandwidth::gbps(32));
   auto aa = ib.attach(pa);  // still POLLING
@@ -264,7 +264,7 @@ TEST(Fabric, TransferFromInactiveLinkFails) {
 
 TEST(IbFabric, QueuePairNumbersRestartAfterReattach) {
   TestBed tb;
-  IbFabric ib(tb.sched, "ib0");
+  IbFabric ib(tb.net, "ib0");
   auto& a = tb.add_node("a");
   auto& pa = tb.add_port(a, "a-hca", Bandwidth::gbps(32));
   auto att = ib.attach(pa);
@@ -287,7 +287,7 @@ TEST(IbFabric, QueuePairNumbersRestartAfterReattach) {
 
 TEST(IbFabric, QpCreationRequiresActiveLink) {
   TestBed tb;
-  IbFabric ib(tb.sched, "ib0");
+  IbFabric ib(tb.net, "ib0");
   auto& a = tb.add_node("a");
   auto& pa = tb.add_port(a, "a-hca", Bandwidth::gbps(32));
   auto att = ib.attach(pa);  // POLLING
@@ -298,7 +298,7 @@ TEST(Fabric, ConcurrentTransfersShareNicFairly) {
   // Two 1 GiB incasts into the same receiver: rx is the bottleneck, each
   // flow gets half, both finish together at ~2x single-flow time.
   TestBed tb;
-  EthFabric eth(tb.sched, "eth0");
+  EthFabric eth(tb.net, "eth0");
   auto& a = tb.add_node("a");
   auto& b = tb.add_node("b");
   auto& c = tb.add_node("c");
@@ -333,7 +333,7 @@ TEST(ClosTopology, IncastSharesLeafDownlinkFairly) {
   TestBed tb;
   EthFabricConfig cfg;
   cfg.latency = Duration::micros(10);
-  EthFabric eth(tb.sched, "eth0", cfg);
+  EthFabric eth(tb.net, "eth0", cfg);
   ClosConfig ccfg;
   ccfg.leaves = 5;
   ccfg.spines = 1;
@@ -382,7 +382,7 @@ TEST(ClosTopology, IncastMaxMinRedistributesAroundCappedFlow) {
   TestBed tb;
   EthFabricConfig cfg;
   cfg.latency = Duration::micros(10);
-  EthFabric eth(tb.sched, "eth0", cfg);
+  EthFabric eth(tb.net, "eth0", cfg);
   ClosConfig ccfg;
   ccfg.leaves = 5;
   ccfg.spines = 1;
@@ -435,7 +435,7 @@ TEST(ClosTopology, CapsCrossLeafButNotIntraLeaf) {
   TestBed tb;
   EthFabricConfig cfg;
   cfg.latency = Duration::micros(10);
-  EthFabric eth(tb.sched, "eth0", cfg);
+  EthFabric eth(tb.net, "eth0", cfg);
   ClosConfig ccfg;
   ccfg.leaves = 2;
   ccfg.spines = 1;

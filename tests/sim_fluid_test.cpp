@@ -26,29 +26,48 @@ class Fluid : public ::testing::Test {
 TEST_F(Fluid, SingleFlowUsesFullCapacity) {
   FluidResource nic(sched, "nic", 100.0);  // 100 units/s
   double done_at = -1;
-  sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
+  sim.spawn([](Simulation& s, FluidNet& sc, FluidResource& r, double& t) -> Task {
     co_await sc.run(FlowSpec{.work = 500.0}.over(r));
     t = s.now().to_seconds();
-  }(sim, sched, nic, done_at));
+  }(sim, net, nic, done_at));
   sim.run();
   EXPECT_NEAR(done_at, 5.0, 1e-9);
 }
 
 TEST_F(Fluid, ZeroWorkCompletesImmediately) {
   FluidResource r(sched, "r", 10.0);
-  auto flow = sched.start(FlowSpec{.work = 0.0}.over(r));
+  auto flow = net.start(FlowSpec{.work = 0.0}.over(r));
   EXPECT_TRUE(flow->finished());
   EXPECT_EQ(r.active_flows(), 0u);
+}
+
+TEST_F(Fluid, FinishedIsAPureReadUntilTheSettleCommits) {
+  // The flow's completion timer fires at t = 1 s and only marks its
+  // component dirty; a same-instant reader that runs after the timer must
+  // not solve the component itself: the flow finishes when the
+  // end-of-instant settle commits it.
+  FluidResource r(sched, "r", 100.0);
+  auto flow = net.start(FlowSpec{.work = 100.0}.over(r));
+  bool read_before_settle = true;
+  sim.post(Duration::nanos(1), [&] {
+    // Posted after the first settle armed the timer, so it runs after it.
+    sim.post(Duration::seconds(1.0) - Duration::nanos(1),
+             [&] { read_before_settle = flow->finished(); });
+  });
+  sim.run();
+  EXPECT_FALSE(read_before_settle);
+  EXPECT_TRUE(flow->finished());
+  EXPECT_NEAR(sim.now().to_seconds(), 1.0, 1e-12);
 }
 
 TEST_F(Fluid, TwoFlowsShareEqually) {
   FluidResource nic(sched, "nic", 100.0);
   std::vector<double> done(2, -1);
   for (int i = 0; i < 2; ++i) {
-    sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
+    sim.spawn([](Simulation& s, FluidNet& sc, FluidResource& r, double& t) -> Task {
       co_await sc.run(FlowSpec{.work = 500.0}.over(r));
       t = s.now().to_seconds();
-    }(sim, sched, nic, done[i]));
+    }(sim, net, nic, done[i]));
   }
   sim.run();
   // Both run at 50 until both finish at t=10.
@@ -60,14 +79,14 @@ TEST_F(Fluid, ShorterFlowFreesCapacityForLonger) {
   FluidResource nic(sched, "nic", 100.0);
   double short_done = -1;
   double long_done = -1;
-  sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
+  sim.spawn([](Simulation& s, FluidNet& sc, FluidResource& r, double& t) -> Task {
     co_await sc.run(FlowSpec{.work = 100.0}.over(r));
     t = s.now().to_seconds();
-  }(sim, sched, nic, short_done));
-  sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
+  }(sim, net, nic, short_done));
+  sim.spawn([](Simulation& s, FluidNet& sc, FluidResource& r, double& t) -> Task {
     co_await sc.run(FlowSpec{.work = 500.0}.over(r));
     t = s.now().to_seconds();
-  }(sim, sched, nic, long_done));
+  }(sim, net, nic, long_done));
   sim.run();
   // Shared at 50 each until the short one finishes at t=2 (100/50); the
   // long one then has 400 left at rate 100 -> finishes at t=6.
@@ -79,10 +98,10 @@ TEST_F(Fluid, PerFlowCapLimitsRate) {
   FluidResource cpu(sched, "cpu", 8.0);  // 8 cores
   double done_at = -1;
   // One vCPU task: capped at 1 core even though 8 are free.
-  sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
+  sim.spawn([](Simulation& s, FluidNet& sc, FluidResource& r, double& t) -> Task {
     co_await sc.run(FlowSpec{.work = 4.0, .max_rate = 1.0}.over(r));
     t = s.now().to_seconds();
-  }(sim, sched, cpu, done_at));
+  }(sim, net, cpu, done_at));
   sim.run();
   EXPECT_NEAR(done_at, 4.0, 1e-9);
 }
@@ -92,10 +111,10 @@ TEST_F(Fluid, OvercommitSharesFairly) {
   FluidResource cpu(sched, "cpu", 8.0);
   std::vector<double> done(16, -1);
   for (int i = 0; i < 16; ++i) {
-    sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
+    sim.spawn([](Simulation& s, FluidNet& sc, FluidResource& r, double& t) -> Task {
       co_await sc.run(FlowSpec{.work = 2.0, .max_rate = 1.0}.over(r));
       t = s.now().to_seconds();
-    }(sim, sched, cpu, done[i]));
+    }(sim, net, cpu, done[i]));
   }
   sim.run();
   for (const double t : done) {
@@ -107,11 +126,11 @@ TEST_F(Fluid, MultiResourceFlowBottleneckedByTightest) {
   FluidResource tx(sched, "tx", 100.0);
   FluidResource rx(sched, "rx", 40.0);
   double done_at = -1;
-  sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& a, FluidResource& b,
+  sim.spawn([](Simulation& s, FluidNet& sc, FluidResource& a, FluidResource& b,
                double& t) -> Task {
     co_await sc.run(FlowSpec{.work = 200.0}.over(a).over(b));
     t = s.now().to_seconds();
-  }(sim, sched, tx, rx, done_at));
+  }(sim, net, tx, rx, done_at));
   sim.run();
   EXPECT_NEAR(done_at, 5.0, 1e-9);  // bound by rx at 40
 }
@@ -122,8 +141,8 @@ TEST_F(Fluid, CrossTrafficOnSharedResource) {
   FluidResource tx(sched, "tx", 100.0);
   FluidResource rx1(sched, "rx1", 100.0);
   FluidResource rx2(sched, "rx2", 30.0);
-  auto a = sched.start(FlowSpec{.work = 700.0}.over(tx).over(rx1));
-  auto b = sched.start(FlowSpec{.work = 300.0}.over(tx).over(rx2));
+  auto a = net.start(FlowSpec{.work = 700.0}.over(tx).over(rx1));
+  auto b = net.start(FlowSpec{.work = 300.0}.over(tx).over(rx2));
   EXPECT_NEAR(a->current_rate(), 70.0, 1e-9);
   EXPECT_NEAR(b->current_rate(), 30.0, 1e-9);
   sim.run();
@@ -134,10 +153,10 @@ TEST_F(Fluid, CrossTrafficOnSharedResource) {
 TEST_F(Fluid, CapacityChangeRebalances) {
   FluidResource nic(sched, "nic", 100.0);
   double done_at = -1;
-  sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
+  sim.spawn([](Simulation& s, FluidNet& sc, FluidResource& r, double& t) -> Task {
     co_await sc.run(FlowSpec{.work = 400.0}.over(r));
     t = s.now().to_seconds();
-  }(sim, sched, nic, done_at));
+  }(sim, net, nic, done_at));
   sim.post(Duration::seconds(2.0), [&] { nic.set_capacity(50.0); });
   sim.run();
   // 200 units in first 2 s at 100, remaining 200 at 50 -> 4 more seconds.
@@ -146,7 +165,7 @@ TEST_F(Fluid, CapacityChangeRebalances) {
 
 TEST_F(Fluid, PauseAndResumeViaMaxRate) {
   FluidResource nic(sched, "nic", 100.0);
-  auto flow = sched.start(FlowSpec{.work = 400.0}.over(nic));
+  auto flow = net.start(FlowSpec{.work = 400.0}.over(nic));
   double done_at = -1;
   sim.spawn([](Simulation& s, FlowPtr f, double& t) -> Task {
     co_await f->completion().wait();
@@ -157,17 +176,6 @@ TEST_F(Fluid, PauseAndResumeViaMaxRate) {
   sim.run();
   // 100 done in 1 s, 10 s paused, 300 remaining at 100 -> t=14.
   EXPECT_NEAR(done_at, 14.0, 1e-6);
-}
-
-TEST_F(Fluid, FlowAcrossSchedulersRejected) {
-  // A resource belongs to the domain it was built on: a sibling domain's
-  // scheduler must refuse it (only FluidNet may bridge domains).
-  FluidScheduler& sibling = net.add_domain("sibling");
-  FluidResource r(sched, "r", 1.0);
-  auto f = sched.start(FlowSpec{.work = 1.0}.over(r));
-  EXPECT_THROW((void)sibling.start(FlowSpec{.work = 1.0}.over(r)), LogicError);
-  sim.run();
-  EXPECT_TRUE(f->finished());
 }
 
 // Property: with arbitrary random flows, the assigned rates never exceed any
@@ -208,7 +216,7 @@ TEST_P(FluidProperty, RatesAreFeasibleAndMaxMinFair) {
     for (auto* r : rs) {
       spec.over(*r);
     }
-    flows.push_back(sched.start(std::move(spec)));
+    flows.push_back(net.start(std::move(spec)));
   }
 
   // Feasibility: per-resource usage never exceeds capacity; per-flow rate
@@ -272,7 +280,7 @@ TEST_F(Fluid, WeightedFlowChargesCpuPerByte) {
   // 1e-3 core-sec/byte on a 1-core CPU: CPU limits the rate to 1e3 B/s.
   FluidResource nic(sched, "nic", 1250.0);
   FluidResource cpu(sched, "cpu", 1.0);
-  auto flow = sched.start(FlowSpec{.work = 2000.0}.over(nic).over(cpu, 1e-3));
+  auto flow = net.start(FlowSpec{.work = 2000.0}.over(nic).over(cpu, 1e-3));
   EXPECT_NEAR(flow->current_rate(), 1000.0, 1e-9);
   sim.run();
   EXPECT_NEAR(sim.now().to_seconds(), 2.0, 1e-6);
@@ -284,8 +292,8 @@ TEST_F(Fluid, WeightedFlowsCompeteForCpuWithComputeJob) {
   // transfer accordingly.
   FluidResource nic(sched, "nic", 1e9);
   FluidResource cpu(sched, "cpu", 1.0);
-  auto xfer = sched.start(FlowSpec{.work = 10000.0}.over(nic).over(cpu, 1e-3));
-  auto job = sched.start(FlowSpec{.work = 10.0, .max_rate = 1.0}.over(cpu));
+  auto xfer = net.start(FlowSpec{.work = 10000.0}.over(nic).over(cpu, 1e-3));
+  auto job = net.start(FlowSpec{.work = 10.0, .max_rate = 1.0}.over(cpu));
   // Equal-rate max-min would give both the same *rate*, which the transfer
   // cannot reach CPU-wise; the bound is cpu residual split by weights:
   // 1.0 / (1e-3 + 1.0) ~= 0.999 for the job, transfer gets the same rate.
@@ -299,7 +307,7 @@ TEST_F(Fluid, WeightedFlowsCompeteForCpuWithComputeJob) {
 
 TEST_F(Fluid, SuspendResumePreservesCap) {
   FluidResource nic(sched, "nic", 100.0);
-  auto flow = sched.start(FlowSpec{.work = 400.0, .max_rate = 40.0}.over(nic));
+  auto flow = net.start(FlowSpec{.work = 400.0, .max_rate = 40.0}.over(nic));
   EXPECT_NEAR(flow->current_rate(), 40.0, 1e-12);
   flow->suspend();
   EXPECT_TRUE(flow->suspended());
@@ -319,7 +327,7 @@ TEST_F(Fluid, SetMaxRateWhileSuspendedAppliesOnResume) {
   // A cap set during suspension must neither un-suspend the flow nor be
   // clobbered by the pre-suspend cap on resume().
   FluidResource nic(sched, "nic", 100.0);
-  auto flow = sched.start(FlowSpec{.work = 400.0, .max_rate = 40.0}.over(nic));
+  auto flow = net.start(FlowSpec{.work = 400.0, .max_rate = 40.0}.over(nic));
   EXPECT_NEAR(flow->current_rate(), 40.0, 1e-12);
   flow->suspend();
   flow->set_max_rate(10.0);
@@ -340,17 +348,17 @@ TEST_F(Fluid, ComponentsTrackConnectivity) {
   FluidResource a(sched, "a", 10.0);
   FluidResource b(sched, "b", 10.0);
   EXPECT_EQ(sched.component_count(), 0u);
-  auto fa = sched.start(FlowSpec{.work = 10.0}.over(a));
-  auto fb = sched.start(FlowSpec{.work = 20.0}.over(b));
+  auto fa = net.start(FlowSpec{.work = 10.0}.over(a));
+  auto fb = net.start(FlowSpec{.work = 20.0}.over(b));
   EXPECT_EQ(sched.component_count(), 2u);
-  auto fab = sched.start(FlowSpec{.work = 5.0}.over(a).over(b));
+  auto fab = net.start(FlowSpec{.work = 5.0}.over(a).over(b));
   EXPECT_EQ(sched.component_count(), 1u);
   sim.run();
   EXPECT_TRUE(fa->finished() && fb->finished() && fab->finished());
   EXPECT_EQ(sched.component_count(), 0u);
   // Fresh flows after dissolution get fresh components.
-  auto fa2 = sched.start(FlowSpec{.work = 10.0}.over(a));
-  auto fb2 = sched.start(FlowSpec{.work = 10.0}.over(b));
+  auto fa2 = net.start(FlowSpec{.work = 10.0}.over(a));
+  auto fb2 = net.start(FlowSpec{.work = 10.0}.over(b));
   EXPECT_EQ(sched.component_count(), 2u);
   sim.run();
   EXPECT_TRUE(fa2->finished() && fb2->finished());
@@ -360,12 +368,12 @@ TEST_F(Fluid, ManySequentialFlowsKeepClockExact) {
   // Chained transfers must not accumulate drift: 1000 x 1-second flows.
   FluidResource nic(sched, "nic", 10.0);
   double done_at = -1;
-  sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, double& t) -> Task {
+  sim.spawn([](Simulation& s, FluidNet& sc, FluidResource& r, double& t) -> Task {
     for (int i = 0; i < 1000; ++i) {
       co_await sc.run(FlowSpec{.work = 10.0}.over(r));
     }
     t = s.now().to_seconds();
-  }(sim, sched, nic, done_at));
+  }(sim, net, nic, done_at));
   sim.run();
   EXPECT_NEAR(done_at, 1000.0, 1e-3);
 }

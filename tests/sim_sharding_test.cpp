@@ -219,12 +219,11 @@ ZoneRun run_zones(bool split, int workers) {
   }
   std::vector<sim::FlowPtr> flows;
   for (std::size_t z = 0; z < zones.size(); ++z) {
-    auto& sched = *zone_sched[z];
     for (int n = 0; n < kZoneNodes; ++n) {
       auto& node = zones[z].cluster->node(static_cast<std::size_t>(n));
       flows.push_back(
-          sched.start(sim::FlowSpec{.work = (n + 1) * 0.25, .max_rate = 1.0}.over(node.cpu())));
-      flows.push_back(sched.start(
+          net.start(sim::FlowSpec{.work = (n + 1) * 0.25, .max_rate = 1.0}.over(node.cpu())));
+      flows.push_back(net.start(
           sim::FlowSpec{.work = 1e9 * (n + 1)}
               .over(zones[z].ports[static_cast<std::size_t>(n)]->tx())
               .over(zones[z].ports[static_cast<std::size_t>((n + 1) % kZoneNodes)]->rx())));
@@ -291,14 +290,15 @@ TEST(Sharding, TestbedExposesRequestedDomains) {
   TestbedConfig tcfg;
   tcfg.fluid_shards = 3;
   Testbed tb(tcfg);
-  EXPECT_EQ(tb.domain_count(), 3u);
+  sim::FluidNet& net = tb.net();
+  EXPECT_EQ(net.domain_count(), 3u);
   // The enclosure's shared resources (and, without blade_domains, the
   // blades) all live on domain 0 — the routing façade agrees.
-  EXPECT_EQ(tb.domain_of(tb.storage().throughput()), &tb.domain(0));
-  EXPECT_EQ(tb.domain_of(tb.ib_host(0).node().cpu()), &tb.domain(0));
+  EXPECT_EQ(net.domain_of(tb.storage().throughput()), &net.domain(0));
+  EXPECT_EQ(net.domain_of(tb.ib_host(0).node().cpu()), &net.domain(0));
   // Spare shards are real, independently usable schedulers on the same clock.
-  EXPECT_EQ(&tb.domain(1).simulation(), &tb.sim());
-  EXPECT_NE(&tb.domain(1), &tb.domain(0));
+  EXPECT_EQ(&net.domain(1).simulation(), &tb.sim());
+  EXPECT_NE(&net.domain(1), &net.domain(0));
 }
 
 // --- Boundary flows on the real topology -------------------------------------
@@ -331,10 +331,11 @@ TEST(Sharding, BladeDomainTestbedRegistersBoundaryFlows) {
   tcfg.eth_nodes = 0;
   Testbed tb(tcfg);
   // fluid_shards=1 zone domain + one domain per blade.
-  EXPECT_EQ(tb.domain_count(), 3u);
-  EXPECT_EQ(tb.domain_of(tb.ib_host(0).node().cpu()), &tb.domain(1));
-  EXPECT_EQ(tb.domain_of(tb.ib_host(1).node().cpu()), &tb.domain(2));
-  ASSERT_NE(tb.solve_pool(), nullptr);
+  sim::FluidNet& net = tb.net();
+  EXPECT_EQ(net.domain_count(), 3u);
+  EXPECT_EQ(net.domain_of(tb.ib_host(0).node().cpu()), &net.domain(1));
+  EXPECT_EQ(net.domain_of(tb.ib_host(1).node().cpu()), &net.domain(2));
+  ASSERT_NE(net.pool(), nullptr);
 
   auto vm0 = tb.boot_vm(tb.ib_host(0), [] {
     vmm::VmSpec s;

@@ -26,7 +26,7 @@ TEST(Utilization, FluidResourceIntegratesConsumption) {
   sim::FluidScheduler& sched = net.add_domain("d");
   sim::FluidResource cpu(sched, "cpu", 8.0);
   // One 1-core job for 4 seconds: 4 core-seconds consumed, 12.5% mean util.
-  auto flow = sched.start(sim::FlowSpec{.work = 4.0, .max_rate = 1.0}.over(cpu));
+  auto flow = net.start(sim::FlowSpec{.work = 4.0, .max_rate = 1.0}.over(cpu));
   sim.run();
   EXPECT_TRUE(flow->finished());
   EXPECT_NEAR(cpu.consumed(), 4.0, 1e-6);

@@ -147,7 +147,7 @@ struct MergedTopo {
       for (std::size_t s = 0; s < fd.res.size(); ++s) {
         spec.over(*res[fd.res[s]], fd.weight[s]);
       }
-      flows.push_back(sched.start(std::move(spec)));
+      flows.push_back(net.start(std::move(spec)));
     }
   }
 };
@@ -386,7 +386,7 @@ struct MergedTopoN {
       for (std::size_t s = 0; s < fd.res.size(); ++s) {
         spec.over(*res[fd.res[s]], fd.weight[s]);
       }
-      flows.push_back(sched.start(std::move(spec)));
+      flows.push_back(net.start(std::move(spec)));
     }
   }
 };
@@ -681,11 +681,12 @@ sim::Task migrate_and_stamp(sim::Simulation& sim, vmm::Host& src, vmm::Vm& vm, v
 }
 
 FederationConfig small_federation(int solve_workers) {
+  TestbedConfig site;
+  site.ib_nodes = 0;
+  site.eth_nodes = 2;
   FederationConfig cfg;
-  cfg.site_a.ib_nodes = 0;
-  cfg.site_a.eth_nodes = 2;
-  cfg.site_b.ib_nodes = 0;
-  cfg.site_b.eth_nodes = 2;
+  cfg.sites = {{"a", site}, {"b", site}};
+  cfg.edges = {{0, 1, {}}};
   cfg.solve_workers = solve_workers;
   return cfg;
 }
@@ -698,14 +699,14 @@ struct FederatedRun {
 
 FederatedRun run_cross_site_migration(int solve_workers) {
   Federation fed(small_federation(solve_workers));
-  auto& src = fed.site_a().eth_host(0);
+  auto& src = fed.site(0).eth_host(0);
   vmm::Host* dst = fed.find_host("b:eth0");
   EXPECT_NE(dst, nullptr);
   vmm::VmSpec spec;
   spec.name = "vm0";
   spec.memory = Bytes::gib(2);
   spec.base_os_footprint = Bytes::mib(256);
-  auto vm = fed.site_a().boot_vm(src, spec, /*with_hca=*/false);
+  auto vm = fed.site(0).boot_vm(src, spec, /*with_hca=*/false);
   fed.settle();
 
   FederatedRun out;
@@ -726,18 +727,32 @@ FederatedRun run_cross_site_migration(int solve_workers) {
 
 TEST(WanFederation, HostsResolveAcrossSitesAndDomainsAreDistinct) {
   Federation fed(small_federation(0));
-  EXPECT_EQ(fed.find_host("a:eth0"), &fed.site_a().eth_host(0));
-  EXPECT_EQ(fed.find_host("b:eth1"), &fed.site_b().eth_host(1));
+  EXPECT_EQ(fed.find_host("a:eth0"), &fed.site(0).eth_host(0));
+  EXPECT_EQ(fed.find_host("b:eth1"), &fed.site(1).eth_host(1));
   EXPECT_EQ(fed.find_host("c:eth0"), nullptr);
   // The WAN endpoints live one per site zone, in different domains.
-  sim::FluidScheduler* da = fed.domain_of(fed.wan().a());
-  sim::FluidScheduler* db = fed.domain_of(fed.wan().b());
+  sim::FluidScheduler* da = fed.net().domain_of(fed.wan_link(0).a());
+  sim::FluidScheduler* db = fed.net().domain_of(fed.wan_link(0).b());
   ASSERT_NE(da, nullptr);
   ASSERT_NE(db, nullptr);
   EXPECT_NE(da, db);
   // Both sites' resolvers reach both sites through the federation.
-  EXPECT_EQ(fed.resolver()("a:eth1"), &fed.site_a().eth_host(1));
-  EXPECT_EQ(fed.resolver()("b:eth0"), &fed.site_b().eth_host(0));
+  EXPECT_EQ(fed.resolver()("a:eth1"), &fed.site(0).eth_host(1));
+  EXPECT_EQ(fed.resolver()("b:eth0"), &fed.site(1).eth_host(0));
+}
+
+TEST(WanFederation, OutOfRangeSiteAndEdgeIndicesThrow) {
+  Federation fed(small_federation(0));
+  const std::size_t n = fed.site_count();
+  const std::size_t e = fed.edge_count();
+  EXPECT_NO_THROW((void)fed.site(n - 1));
+  EXPECT_NO_THROW((void)fed.wan_link(e - 1));
+  EXPECT_THROW((void)fed.site(n), LogicError);
+  EXPECT_THROW((void)fed.site_name(n), LogicError);
+  EXPECT_THROW((void)fed.wan_link(e), LogicError);
+  EXPECT_THROW((void)fed.edge_sites(e), LogicError);
+  EXPECT_THROW((void)fed.route(n, 0), LogicError);
+  EXPECT_THROW((void)fed.route(0, n), LogicError);
 }
 
 TEST(WanFederation, CrossSiteMigrationLandsAtSameInstantForEveryWorkerCount) {
