@@ -19,36 +19,38 @@
 //   6. parallel dirty-domain solving: the SolvePool computes dirty pods on
 //      worker threads, commits in canonical order — timeline bit-identical
 //      to the serial drain;
-//   7. cross-domain boundary flows: inter-pod transfers traverse a shared
-//      spine switch in a separate core domain, so every transfer is a
-//      boundary flow spanning three fluid domains; the ghost-capacity
-//      exchange must converge to the same timeline at every worker count
-//      (`--sweep7` emits the machine-readable digest used by CI);
+//   7. inter-pod transfers through a shared spine: pods and the spine
+//      switch share one fluid domain, so every inter-pod transfer is a
+//      plain flow through the spine, solved in one component with the
+//      pods it couples; the timeline must be the same at every worker
+//      count (`--sweep7` emits the machine-readable digest used by CI);
 //   8. federated evacuation: two testbeds coupled by a calibrated 50 ms /
 //      1 Gbps / 0.1 % WanLink, four VMs live-migrated cross-site onto two
-//      hosts — the full §II disaster-recovery path with the WAN CapPolicy
-//      folding into every boundary offer; timeline must stay bit-identical
-//      at every worker count (`--sweep8` emits the CI digest).
+//      hosts — the full §II disaster-recovery path with the link's Mathis
+//      ceiling capping every pre-copy stream; timeline must stay
+//      bit-identical at every worker count (`--sweep8` emits the CI
+//      digest).
 //   9. planned mass evacuation over a 5-site mesh: MassEvacuation drains
 //      every VM off the source site through the EvacuationPlanner's wave
 //      schedule (one refuge two hops out, so multi-hop WAN routes carry
 //      real traffic). Three gates: the evacuation timeline is bit-identical
 //      at every worker count, the batched plan's makespan beats the
-//      naive-sequential baseline, and every exchange converges (`--sweep9`
-//      emits the CI digest).
+//      naive-sequential baseline, and every VM lands (`--sweep9` emits the
+//      CI digest).
 //  10. SLO-visible migration under open-loop service load: a small KvService
 //      (2 servers, 2 client fleets of Poisson/zipfian traffic) keeps serving
 //      while one loaded server migrates. Four gates: the service+migration
 //      timeline (request digest + final instant) is bit-identical at every
 //      worker count, offered load is conserved (every generated request
-//      completes), the overall p999 stays under a fixed ceiling, and every
-//      exchange converges (`--sweep10` emits the CI digest).
+//      completes), the overall p999 stays under a fixed ceiling, and the
+//      migration blacks out for a nonzero time (`--sweep10` emits the CI
+//      digest).
 //  11. oversubscribed Clos evacuation: the source site drains 24 VMs racked
 //      under three 4:1-oversubscribed leaves into two 2-leaf refuges, with
-//      the leaf-aware planner vs the topology-blind baseline. Four gates:
+//      the leaf-aware planner vs the topology-blind baseline. Three gates:
 //      the aware timeline is bit-identical at every worker count, the
-//      aware makespan is never worse than the blind one, every VM lands,
-//      and every exchange converges (`--sweep11` emits the CI digest).
+//      aware makespan is never worse than the blind one, and every VM
+//      lands (`--sweep11` emits the CI digest).
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -281,7 +283,7 @@ struct SweepRun {
   /// Further results that must equal the 0-worker run's but are not pinned
   /// per run.
   std::vector<std::uint64_t> same_as_serial;
-  /// The run's own gates: every exchange converged, every VM landed, ...
+  /// The run's own gates: every VM landed, no request lost, ...
   bool ok = true;
 };
 
@@ -367,97 +369,88 @@ int determinism_sweep(const DeterminismSweep& sweep, bool json_only) {
   return failed ? 1 : 0;
 }
 
-// --- Sweep 7: cross-domain boundary flows through a shared spine ------------
+// --- Sweep 7: inter-pod transfers through a shared spine --------------------
 
-// P pods, each its own FluidNet domain, plus a "core" domain holding one
-// shared spine-switch resource. Every inter-pod transfer crosses three
-// domains (source tx -> spine -> destination rx), so it is admitted as a
-// boundary flow and settled through the ghost-capacity exchange. The local
-// compute flows keep each pod's domain genuinely busy at the same instants,
-// making the exchange batches span domains. The invariant is the same as
-// sweeps 5/6: the merged timeline is bit-identical at every worker count.
+// P pods plus one shared spine-switch resource, all in one FluidNet domain.
+// Every inter-pod transfer crosses source tx -> spine -> destination rx,
+// so the spine couples the pods' transfers into one component, solved
+// exactly in one pass. The pod-local compute flows stay separate
+// components that dirty at the same instants, so settle batches still hold
+// several components for the workers. The invariant is the same as sweeps
+// 5/6: the timeline is bit-identical at every worker count.
 constexpr int kCrossPodNodes = 32;
 
-struct CrossDomainResult {
+struct SpinePodsResult {
   double wall_ms = 0.0;
   std::int64_t final_ns = 0;
-  std::size_t peak_boundary = 0;    // boundary flows registered after admission
-  std::size_t exchange_rounds = 0;  // total exchange iterations across settles
-  std::size_t unconverged = 0;      // settles that hit the round cap (must be 0)
+  std::size_t inter_pod = 0;  // transfers through the spine
+  std::size_t max_batch = 0;  // largest settle batch
 };
 
-CrossDomainResult run_cross_domain(int pods, int workers) {
+SpinePodsResult run_spine_pods(int pods, int workers) {
   sim::Simulation sim;
   sim::FluidNet net(sim, workers);
-  auto& core = net.add_domain("core");
-  sim::FluidResource spine(core, "spine", 40e9);
-  std::vector<sim::FluidScheduler*> pod_domain;
-  pod_domain.reserve(static_cast<std::size_t>(pods));
-  for (int p = 0; p < pods; ++p) {
-    pod_domain.push_back(&net.add_domain("pod" + std::to_string(p)));
-  }
+  auto& domain = net.add_domain("pods");
+  sim::FluidResource spine(domain, "spine", 40e9);
   std::vector<Pod> built;
   built.reserve(static_cast<std::size_t>(pods));
   for (int p = 0; p < pods; ++p) {
-    built.push_back(build_pod(*pod_domain[static_cast<std::size_t>(p)], p, kCrossPodNodes));
+    built.push_back(build_pod(domain, p, kCrossPodNodes));
   }
 
+  SpinePodsResult res;
   for (int p = 0; p < pods; ++p) {
     auto& pod = built[static_cast<std::size_t>(p)];
     auto& next = built[static_cast<std::size_t>((p + 1) % pods)];
     for (int n = 0; n < kCrossPodNodes; ++n) {
       auto& node = pod.cluster->node(static_cast<std::size_t>(n));
-      // Pod-local compute: stays inside the pod's own domain.
+      // Pod-local compute: a component of its own.
       net.start(sim::FlowSpec{.work = (n + 1) * 0.05, .max_rate = 1.0}.over(node.cpu()));
       if (n % 4 == 0) {
-        // Inter-pod transfer to the neighbour pod through the spine: a
-        // boundary flow spanning pod p, core, and pod p+1.
+        // Inter-pod transfer to the neighbour pod through the spine.
         net.start(sim::FlowSpec{.work = 1e8 * (n + 1)}
                       .over(pod.ports[static_cast<std::size_t>(n)]->tx())
                       .over(spine)
                       .over(next.ports[static_cast<std::size_t>(n)]->rx()));
+        ++res.inter_pod;
       }
     }
   }
 
-  CrossDomainResult res;
-  res.peak_boundary = net.boundary_flow_count();
   const auto start = std::chrono::steady_clock::now();
   res.final_ns = sim.run().count_nanos();
   res.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
-  res.exchange_rounds = net.exchange_round_count();
-  res.unconverged = net.unconverged_exchange_count();
+  res.max_batch = net.pool()->max_batch_size();
   return res;
 }
 
 int run_sweep7(bool json_only) {
   return determinism_sweep(
       {.number = 7,
-       .heading = "\n7. Cross-domain boundary flows (" + std::to_string(kCrossPodNodes) +
-                  "-node pods, shared spine in a core domain, inter-pod transfers\n"
-                  "   span 3 domains via the ghost-capacity exchange):\n",
+       .heading = "\n7. Inter-pod transfers through a shared spine (" +
+                  std::to_string(kCrossPodNodes) +
+                  "-node pods, pods and spine in one\n   fluid domain):\n",
        .group_column = "pods",
        .groups = {2, 4},
-       .columns = {"drain [ms]", "boundary flows", "exch rounds"},
+       .columns = {"drain [ms]", "inter-pod flows", "max batch"},
        .run =
            [](int pods, int workers) {
-             const auto r = run_cross_domain(pods, workers);
+             const auto r = run_spine_pods(pods, workers);
              return SweepRun{.cells = {TextTable::num(r.wall_ms, 2),
-                                       std::to_string(r.peak_boundary),
-                                       std::to_string(r.exchange_rounds)},
-                             .pinned = {{"final_ns", std::to_string(r.final_ns)}},
-                             .ok = r.unconverged == 0};
+                                       std::to_string(r.inter_pod),
+                                       std::to_string(r.max_batch)},
+                             .pinned = {{"final_ns", std::to_string(r.final_ns)}}};
            },
        .finish =
            [](bool print, JsonKeys&) {
              if (print) {
-               std::cout << "Each transfer's home flow lives in its source pod; ghost flows\n"
-                            "mirror it onto the spine and the destination pod, and the settle\n"
-                            "loop iterates publish/re-solve until the boundary rates reach a\n"
-                            "fixed point. Commits still replay in canonical (domain, component)\n"
-                            "order, so the timeline is bit-identical at every worker count.\n";
+               std::cout << "The spine couples every inter-pod transfer into one component,\n"
+                            "solved exactly in one pass; the pod-local compute components\n"
+                            "settle alongside it. Commits replay in canonical (domain,\n"
+                            "component) order, so the timeline is bit-identical at every\n"
+                            "worker count.\n";
              }
              return true;
            }},
@@ -469,8 +462,6 @@ int run_sweep7(bool json_only) {
 struct FederatedResult {
   std::int64_t final_ns = 0;
   std::int64_t evac_done_ns = 0;
-  std::size_t exchange_rounds = 0;
-  std::size_t unconverged = 0;
   double wall_ms = 0.0;
 };
 
@@ -526,8 +517,6 @@ FederatedResult run_federated_evacuation(int workers) {
   res.wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
           .count();
-  res.exchange_rounds = fed.exchange_round_count();
-  res.unconverged = fed.unconverged_exchange_count();
   return res;
 }
 
@@ -536,25 +525,22 @@ int run_sweep8(bool json_only) {
       {.number = 8,
        .heading = "\n8. Federated evacuation (two sites, 50 ms / 1 Gbps / 0.1 % WAN,\n"
                   "   4 VMs live-migrated cross-site onto 2 hosts):\n",
-       .columns = {"wall [ms]", "evac done [s]", "exch rounds"},
+       .columns = {"wall [ms]", "evac done [s]"},
        .run =
            [](int, int workers) {
              const auto r = run_federated_evacuation(workers);
              return SweepRun{
                  .cells = {TextTable::num(r.wall_ms, 2),
-                           TextTable::num(static_cast<double>(r.evac_done_ns) / 1e9, 3),
-                           std::to_string(r.exchange_rounds)},
+                           TextTable::num(static_cast<double>(r.evac_done_ns) / 1e9, 3)},
                  .pinned = {{"evac_done_ns", std::to_string(r.evac_done_ns)},
-                            {"final_ns", std::to_string(r.final_ns)}},
-                 .ok = r.unconverged == 0};
+                            {"final_ns", std::to_string(r.final_ns)}}};
            },
        .finish =
            [](bool print, JsonKeys&) {
              if (print) {
-               std::cout << "Each pre-copy stream is a boundary flow through both sites' uplinks\n"
-                            "and the WanLink endpoint pair; the link's CapPolicy folds the Mathis\n"
-                            "ceiling into every published ghost cap, and the evacuation lands at\n"
-                            "the same nanosecond at every worker count.\n";
+               std::cout << "Each pre-copy stream is one flow through both sites' uplinks and\n"
+                            "the WanLink endpoint pair, capped at the link's Mathis ceiling; the\n"
+                            "evacuation lands at the same nanosecond at every worker count.\n";
              }
              return true;
            }},
@@ -570,11 +556,10 @@ struct EvacResult {
   int waves = 0;
   std::size_t evacuated = 0;
   std::size_t fleet = 0;
-  std::size_t unconverged = 0;
   double wall_ms = 0.0;
 
-  /// Every VM landed and every exchange converged.
-  [[nodiscard]] bool clean() const { return evacuated == fleet && unconverged == 0; }
+  /// Every VM landed.
+  [[nodiscard]] bool clean() const { return evacuated == fleet; }
 };
 
 // Boots `per_host` 1 GiB VMs on every host of site 0, each with `dirty`
@@ -610,7 +595,6 @@ EvacResult evacuate_site0(core::Federation& fed, int per_host, Bytes dirty,
   res.makespan_ns = report.done_ns - report.started_ns;
   res.waves = report.waves;
   res.evacuated = report.evacuated;
-  res.unconverged = fed.unconverged_exchange_count();
   return res;
 }
 
@@ -703,7 +687,6 @@ struct ServiceSloResult {
   std::uint64_t misses = 0;
   std::int64_t p999_ns = 0;
   std::int64_t blackout_ns = 0;
-  std::size_t unconverged = 0;
   double wall_ms = 0.0;
 };
 
@@ -764,7 +747,6 @@ ServiceSloResult run_service_slo(int workers) {
   if (episode.done()) {
     res.blackout_ns = episode.report().blackout.count_nanos();
   }
-  res.unconverged = testbed.unconverged_exchange_count();
   return res;
 }
 
@@ -801,7 +783,7 @@ int run_sweep10(bool json_only) {
                  .pinned = {{"final_ns", std::to_string(r.final_ns)}},
                  .same_as_serial = {r.digest},
                  .ok = r.completed == r.generated && r.p999_ns <= kP999CeilingNs &&
-                       r.blackout_ns > 0 && r.unconverged == 0};
+                       r.blackout_ns > 0};
            },
        .finish =
            [&](bool print, JsonKeys& json) {
@@ -921,7 +903,7 @@ int main(int argc, char** argv) {
   // `--sweepN` (N = 7..11) runs only that sweep and writes its JSON digest,
   // BENCH_scalability_sweepN.json, which CI key-checks against the
   // committed baseline. Exit code 1 on timeline divergence, a failed gate
-  // (including an unconverged exchange) or an unwritable digest.
+  // or an unwritable digest.
   if (argc > 1) {
     for (const auto& sweep : kSweepFlags) {
       if (std::strcmp(argv[1], sweep.flag) == 0) {

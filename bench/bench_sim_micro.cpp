@@ -183,14 +183,12 @@ void BM_FluidRebalanceMultiHost(benchmark::State& state) {
 }
 BENCHMARK(BM_FluidRebalanceMultiHost)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
-// Exchange-aware batching guard: a depth-D domain chain with a tight head
-// resource, slack middle resources soaked by local load, and one boundary
-// flow spanning the whole chain. Every head-capacity toggle moves all the
-// middle domains' capacity offers, but they stay far above the achieved
-// rate — the exchange must store them and skip the re-solves, so the
-// per-toggle settle cost grows only with the publish fan-out, not with
-// extra re-solve rounds per domain.
-void BM_DeepChainExchange(benchmark::State& state) {
+// Deep-chain guard: a chain of D resources with a tight head, slack
+// middle resources soaked by local load, and one flow spanning the whole
+// chain — one component of D flows over D resources. Every head-capacity
+// toggle re-solves that component once, so the per-toggle settle cost
+// grows linearly with D.
+void BM_DeepChainSolve(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   constexpr int kToggles = 64;
   struct Env {
@@ -199,11 +197,11 @@ void BM_DeepChainExchange(benchmark::State& state) {
     std::vector<std::unique_ptr<sim::FluidResource>> res;
     std::vector<sim::FlowPtr> flows;
     explicit Env(int d) {
+      auto& dom = net.add_domain("chain");
       for (int i = 0; i < d; ++i) {
         // Lvalue suffix: the `const char* + string&&` overload trips a
         // GCC 12 -Wrestrict false positive under heavy inlining.
         const std::string tag = std::to_string(i);
-        auto& dom = net.add_domain("d" + tag);
         res.push_back(std::make_unique<sim::FluidResource>(dom, "r" + tag, i == 0 ? 1e9 : 1e12));
       }
       sim::FlowSpec spec{.work = 1e15};
@@ -211,10 +209,10 @@ void BM_DeepChainExchange(benchmark::State& state) {
         spec.over(*r);
       }
       flows.push_back(net.start(std::move(spec)));
-      for (int i = 1; i < d; ++i) {  // local load: offers track the ghost rate
+      for (int i = 1; i < d; ++i) {  // local load on the slack resources
         flows.push_back(net.start(sim::FlowSpec{.work = 1e15}.over(*res[i])));
       }
-      sim.run_for(Duration::millis(1));  // converge the initial exchange
+      sim.run_for(Duration::millis(1));  // settle the initial admission
     }
   };
   for (auto _ : state) {
@@ -231,7 +229,7 @@ void BM_DeepChainExchange(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kToggles);
 }
-BENCHMARK(BM_DeepChainExchange)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_DeepChainSolve)->Arg(4)->Arg(16)->Arg(64);
 
 // Timer-wheel guard, far-horizon side: 32k timers parked an hour-plus out
 // (level 2 and the overflow list) while the near-term path churns. The

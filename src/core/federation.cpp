@@ -8,7 +8,10 @@
 namespace nm::core {
 
 Federation::Federation(FederationConfig config)
-    : config_(std::move(config)), sim_(config_.seed), net_(sim_, config_.solve_workers) {
+    : config_(std::move(config)),
+      sim_(config_.seed),
+      net_(sim_, config_.solve_workers),
+      domain_(net_.add_domain("federation")) {
   const std::size_t n = config_.sites.size();
   NM_CHECK(n >= 2, "a federation needs at least two sites");
   {
@@ -45,28 +48,20 @@ Federation::Federation(FederationConfig config)
     }
   }
 
-  // The geo-replicated store lives in its own core domain: it is equally
-  // remote from every site, and every VM's disk traffic reaches it as a
-  // boundary flow regardless of which site the VM runs on.
-  auto& core_domain = net_.add_domain("wan-core");
-  storage_ =
-      std::make_unique<vmm::SharedStorage>(net_, core_domain, "geo", config_.geo_storage_rate);
+  storage_ = std::make_unique<vmm::SharedStorage>(net_, domain_, "geo", config_.geo_storage_rate);
 
   for (const FederationSiteConfig& site : config_.sites) {
     site_names_.push_back(site.name);
     sites_.push_back(
-        std::make_unique<Testbed>(site.testbed, sim_, net_, site.name, storage_.get()));
+        std::make_unique<Testbed>(site.testbed, domain_, site.name, storage_.get()));
   }
 
-  // One WAN link per mesh edge, its endpoint resources registered in the
-  // two incident sites' zone domains, so a flow crossing the edge always
-  // finds exactly one endpoint foreign — the hook the exchange consults
-  // the link's CapPolicy through. Each side gets its own gateway uplink
-  // port (a site's edges don't share uplink queues).
+  // One WAN link per mesh edge. Each side gets its own gateway uplink port
+  // (a site's edges don't share uplink queues).
   auto add_uplink = [&](std::size_t site, std::size_t edge_index) -> net::NicPort& {
     hw::NodeSpec spec;
     spec.name = site_names_[site] + ":gw" + std::to_string(edge_index);
-    auto& node = gateways_.add_node(sites_[site]->zone_domain(), spec);
+    auto& node = gateways_.add_node(domain_, spec);
     uplinks_.push_back(
         std::make_unique<net::NicPort>(node, spec.name + ":uplink", config_.uplink_rate));
     return *uplinks_.back();
@@ -78,9 +73,8 @@ Federation::Federation(FederationConfig config)
     edge.b = ec.b;
     edge.uplink_a = &add_uplink(ec.a, e);
     edge.uplink_b = &add_uplink(ec.b, e);
-    edge.link = std::make_unique<sim::WanLink>(sim_, sites_[ec.a]->zone_domain(),
-                                               sites_[ec.b]->zone_domain(),
-                                               site_names_[ec.a] + "-" + site_names_[ec.b], ec.wan);
+    edge.link = std::make_unique<sim::WanLink>(
+        sim_, domain_, site_names_[ec.a] + "-" + site_names_[ec.b], ec.wan);
     edges_.push_back(std::move(edge));
   }
 

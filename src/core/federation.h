@@ -2,17 +2,19 @@
 // mesh of calibrated WAN links (paper §II's disaster-recovery use case —
 // evacuate a site across inter-datacenter links, not across a hallway).
 //
-// All sites are built inside one FluidNet, so a cross-site transfer is an
-// ordinary boundary flow: its shares cross the source blade's tx, then for
-// every WAN hop on the route the egress site's switch uplink, the WanLink
-// endpoint pair (whose CapPolicy folds the latency/bandwidth/loss model
-// into the published ghost caps — DESIGN.md §7) and the ingress site's
-// uplink, and finally the destination's rx. Routes are fewest-hops over
-// the edge mesh, computed by plan::SiteGraph::route at construction and
-// re-computable against the live mesh after partitions
-// (recompute_routes()). Determinism is inherited wholesale: one event
-// queue, canonical-order commits, timelines bit-identical at every
-// solve_workers count (wan_federation_test pins it).
+// Every resource of every site, every WAN link and the geo-replicated store
+// registers in one domain of one FluidNet, so a cross-site transfer is an
+// ordinary flow, solved exactly with everything it competes with: its
+// shares cross the source blade's tx, then for every WAN hop on the route
+// the egress site's switch uplink, the WanLink endpoint pair and the
+// ingress site's uplink, and finally the destination's rx. Each crossed
+// link's Mathis ceiling caps the flow's rate (sim/wan_link.h, DESIGN.md
+// §7). Routes are fewest-hops over the edge mesh, computed by
+// plan::SiteGraph::route at construction and re-computable against the
+// live mesh after partitions (recompute_routes()). Determinism is
+// inherited wholesale: one event queue, canonical-order commits, timelines
+// bit-identical at every solve_workers count (wan_federation_test pins
+// it).
 //
 // The sites mount one geo-replicated shared store (the cross-site
 // equivalent of the paper's NFS mount) — live migration requires source and
@@ -59,8 +61,8 @@ struct FederationConfig {
   /// Throughput of the geo-replicated store all sites mount.
   Bandwidth geo_storage_rate = Bandwidth::mib_per_sec(300);
   /// Worker threads in the shared SolvePool (the per-site configs'
-  /// solve_workers/seed are ignored; the clock and pool are federation-
-  /// wide).
+  /// fluid_shards/solve_workers/seed are ignored; the clock, pool and fluid
+  /// domain are federation-wide).
   int solve_workers = 0;
   std::uint64_t seed = 1;
 };
@@ -117,16 +119,10 @@ class Federation {
   /// Lets every boot-time link on all sites finish training.
   void settle();
 
-  /// Federation-wide boundary-exchange stats (same counters Testbed
-  /// exposes; here they aggregate every site plus the WAN mesh by
-  /// construction since the pool is shared).
-  [[nodiscard]] std::size_t exchange_round_count() const { return net_.exchange_round_count(); }
-  [[nodiscard]] std::size_t unconverged_exchange_count() const {
-    return net_.unconverged_exchange_count();
-  }
-  [[nodiscard]] std::size_t max_exchange_rounds_per_settle() const {
-    return net_.max_exchange_rounds_per_settle();
-  }
+  /// Always 0: there is no boundary exchange any more. Kept only for
+  /// perfbench's mesh_evacuation; the next perfbench change removes them.
+  [[nodiscard]] std::size_t exchange_round_count() const { return 0; }
+  [[nodiscard]] std::size_t unconverged_exchange_count() const { return 0; }
 
  private:
   struct Edge {
@@ -149,13 +145,13 @@ class Federation {
   // Destroyed after everything below: the net's pool joins its workers and
   // removes its settle hook while the simulation is alive.
   sim::FluidNet net_;
+  /// The one domain every site, WAN link and the geo store register in.
+  sim::FluidScheduler& domain_;
   std::unique_ptr<vmm::SharedStorage> storage_;
   std::vector<std::string> site_names_;
   std::vector<std::unique_ptr<Testbed>> sites_;
   hw::Cluster gateways_{"wan-gw"};
   std::vector<std::unique_ptr<net::NicPort>> uplinks_;
-  // After sites_: WanLink destructors detach cap policies from resources
-  // registered in the sites' schedulers.
   std::vector<Edge> edges_;
   std::vector<std::vector<std::vector<std::size_t>>> routes_;
 };

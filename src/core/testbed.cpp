@@ -4,14 +4,6 @@
 
 namespace nm::core {
 
-void Testbed::init_shards() {
-  NM_CHECK(config_.fluid_shards >= 1,
-           "testbed needs at least one fluid shard, got " << config_.fluid_shards);
-  for (int i = 0; i < config_.fluid_shards; ++i) {
-    net_->add_domain(prefix_ + "shard" + std::to_string(i));
-  }
-}
-
 Testbed::Testbed(TestbedConfig config)
     : config_(std::move(config)),
       owned_sim_(std::make_unique<sim::Simulation>(config_.seed)),
@@ -20,14 +12,21 @@ Testbed::Testbed(TestbedConfig config)
       net_(owned_net_.get()),
       ib_cluster_("agc-ib"),
       eth_cluster_("agc-eth") {
+  NM_CHECK(config_.fluid_shards >= 1,
+           "testbed needs at least one fluid shard, got " << config_.fluid_shards);
+  for (int i = 0; i < config_.fluid_shards; ++i) {
+    net_->add_domain("shard" + std::to_string(i));
+  }
+  zone_ = &net_->domain(0);
   build();
 }
 
-Testbed::Testbed(TestbedConfig config, sim::Simulation& sim, sim::FluidNet& net, std::string site,
+Testbed::Testbed(TestbedConfig config, sim::FluidScheduler& zone, std::string site,
                  vmm::SharedStorage* shared_storage)
     : config_(std::move(config)),
-      sim_(&sim),
-      net_(&net),
+      sim_(&zone.simulation()),
+      net_(&zone.net()),
+      zone_(&zone),
       prefix_(site.empty() ? std::string{} : site + ":"),
       storage_(shared_storage),
       ib_cluster_(prefix_ + "agc-ib"),
@@ -36,16 +35,9 @@ Testbed::Testbed(TestbedConfig config, sim::Simulation& sim, sim::FluidNet& net,
 }
 
 void Testbed::build() {
-  // Shared-resource placement: every blade hangs off the one 10 GbE switch
-  // and the NFS storage, so the fabrics and the store live on the zone
-  // domain — the first of this testbed's shards (domain 0 standalone; the
-  // net may already hold other sites' domains under a federation). With
-  // blade_domains off the blades land there too (one connected zone → one
-  // scheduler, additional shards stay empty for caller-built disjoint
-  // zones); with it on, each blade's CPU and ports get their own domain and
-  // the net bridges them at the shared switch via boundary flows.
-  zone_index_ = net_->domain_count();
-  init_shards();
+  // Every blade hangs off the one 10 GbE switch and the NFS storage, so the
+  // whole enclosure — fabrics, store, blades — is one connected zone and
+  // registers in the zone domain.
   if (storage_ == nullptr) {
     owned_storage_ =
         std::make_unique<vmm::SharedStorage>(*net_, zone_domain(), prefix_ + "agc");
@@ -64,9 +56,7 @@ void Testbed::build() {
   auto make_host = [&](hw::Cluster& cluster, const std::string& name, bool with_hca) {
     hw::NodeSpec spec = config_.blade_spec;
     spec.name = name;
-    sim::FluidScheduler& home =
-        config_.blade_domains ? net_->add_domain("blade:" + name) : zone_domain();
-    auto& node = cluster.add_node(home, spec);
+    auto& node = cluster.add_node(zone_domain(), spec);
     auto host =
         std::make_unique<vmm::Host>(*net_, node, *storage_, config_.hotplug, config_.migration);
     // 10 GbE uplink on every blade.

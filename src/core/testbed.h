@@ -2,9 +2,14 @@
 // enclosure — 8 on the QDR InfiniBand switch (M3601Q) + all 16 on the
 // 10 GbE switch (M8024) — NFS shared storage, one QEMU/KVM host per blade.
 //
-// Testbed is the composition root: it owns the simulation, the fluid
-// scheduler, fabrics, nodes, ports, and hosts, and provides the host-name
-// resolver used by monitors and the cloud scheduler.
+// Testbed is the composition root: it owns the simulation, the FluidNet,
+// fabrics, nodes, ports, and hosts, and provides the host-name resolver
+// used by monitors and the cloud scheduler. Every resource of the
+// enclosure registers in one fluid domain (the zone domain): the blades
+// all share the 10 GbE switch and the NFS store, so the enclosure is one
+// connected fluid topology. Standalone, that zone is the net's domain 0;
+// under a federation it is the federation's one domain, shared by every
+// site (core/federation.h).
 #pragma once
 
 #include <memory>
@@ -42,20 +47,14 @@ struct TestbedConfig {
   net::ClosConfig clos;
   /// SR-IOV virtual functions per HCA (1 = plain PCI passthrough).
   int hca_vfs = 1;
-  /// Number of fluid domains (shards) the testbed's FluidNet starts with. With
-  /// blade_domains off the whole (fully connected) enclosure lands on
-  /// domain 0 and the remaining shards are free for caller-built disjoint
-  /// zones. Timelines are bit-identical at every shard count
-  /// (sim_sharding_test pins this).
+  /// Number of fluid domains (shards) a standalone testbed's FluidNet
+  /// starts with. The whole (fully connected) enclosure lands on domain 0;
+  /// the remaining shards are free for caller-built disjoint zones.
+  /// Timelines are bit-identical at every shard count (sim_sharding_test
+  /// pins this). Ignored under a federation, whose sites share one domain.
   int fluid_shards = 1;
-  /// Carve each blade — its CPU and its NIC ports — into its own fluid
-  /// domain, bridged to the shared zone (fabrics + NFS storage stay on
-  /// domain 0) by boundary flows: a transfer then crosses the source
-  /// blade's tx, the destination blade's rx, and the shared resources as a
-  /// cross-domain flow solved by the boundary exchange (DESIGN.md §6).
-  bool blade_domains = false;
   /// Worker threads in the FluidNet's SolvePool, which settles dirty fluid
-  /// domains at the end of each simulated instant. 0 (default) creates no
+  /// components at the end of each simulated instant. 0 (default) creates no
   /// threads: the simulation thread solves every batch itself. Any worker
   /// count yields the same event timeline — the pool commits in canonical
   /// (domain, component) order (sim_sharding_test pins this).
@@ -73,15 +72,15 @@ class Testbed {
  public:
   /// Standalone testbed: owns its Simulation, FluidNet and NFS storage.
   explicit Testbed(TestbedConfig config = {});
-  /// Federated testbed: builds the same enclosure inside an externally
-  /// owned simulation/net (one shared clock across sites; see
-  /// core/federation.h). Every domain, fabric, host and node name is
-  /// prefixed with "<site>:" so the two sites' namespaces stay disjoint,
-  /// and `shared_storage` (when given) is mounted instead of a private NFS
+  /// Federated testbed: builds the same enclosure inside `zone`, a domain
+  /// of an externally owned net (one shared clock and one fluid domain
+  /// across sites; see core/federation.h). Every fabric, host and node name
+  /// is prefixed with "<site>:" so the sites' namespaces stay disjoint, and
+  /// `shared_storage` (when given) is mounted instead of a private NFS
   /// store — cross-site migration requires the shared mount. The config's
-  /// `solve_workers` and `seed` are ignored here: both belong to the
-  /// federation's shared simulation.
-  Testbed(TestbedConfig config, sim::Simulation& sim, sim::FluidNet& net, std::string site,
+  /// `fluid_shards`, `solve_workers` and `seed` are ignored here: all three
+  /// belong to the federation.
+  Testbed(TestbedConfig config, sim::FluidScheduler& zone, std::string site,
           vmm::SharedStorage* shared_storage = nullptr);
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
@@ -89,8 +88,7 @@ class Testbed {
   [[nodiscard]] const TestbedConfig& config() const { return config_; }
   [[nodiscard]] sim::Simulation& sim() { return *sim_; }
   /// The one flow entry point and owner of every fluid domain: routes a
-  /// FlowSpec to the domain owning its resources, registering cross-domain
-  /// specs as boundary flows.
+  /// FlowSpec to the domain owning its resources.
   [[nodiscard]] sim::FluidNet& net() { return *net_; }
   [[nodiscard]] net::IbFabric& ib_fabric() { return *ib_fabric_; }
   [[nodiscard]] net::EthFabric& eth_fabric() { return *eth_fabric_; }
@@ -100,23 +98,11 @@ class Testbed {
   /// Leaf of `host`'s Ethernet uplink; ClosFabric::kSpineAttach when flat.
   [[nodiscard]] int leaf_of(vmm::Host& host);
   [[nodiscard]] vmm::SharedStorage& storage() { return *storage_; }
-  /// The domain holding this testbed's shared resources (fabrics, NFS):
-  /// domain 0 standalone, this site's first domain under a federation. A
-  /// WAN link's endpoint for this site registers here.
-  [[nodiscard]] sim::FluidScheduler& zone_domain() { return net_->domain(zone_index_); }
+  /// The domain holding every resource of this testbed: domain 0
+  /// standalone, the federation's one domain under a federation.
+  [[nodiscard]] sim::FluidScheduler& zone_domain() { return *zone_; }
   /// "<site>:" under a federation, empty standalone.
   [[nodiscard]] const std::string& name_prefix() const { return prefix_; }
-
-  /// Boundary-exchange visibility (DESIGN.md §6/§7): cumulative exchange
-  /// rounds, settles that hit the round-cap safety valve (should stay 0),
-  /// and the worst rounds a single settle needed.
-  [[nodiscard]] std::size_t exchange_round_count() const { return net_->exchange_round_count(); }
-  [[nodiscard]] std::size_t unconverged_exchange_count() const {
-    return net_->unconverged_exchange_count();
-  }
-  [[nodiscard]] std::size_t max_exchange_rounds_per_settle() const {
-    return net_->max_exchange_rounds_per_settle();
-  }
 
   [[nodiscard]] int ib_host_count() const { return config_.ib_nodes; }
   [[nodiscard]] int eth_host_count() const { return config_.eth_nodes; }
@@ -139,14 +125,9 @@ class Testbed {
   void settle();
 
  private:
-  /// Adds this testbed's `fluid_shards` initial domains to the net. The
-  /// first one added (recorded as zone_index_) is the zone every shared
-  /// resource registers into; under a federation the net already holds the
-  /// other sites' domains, so the zone is not globally domain 0.
-  void init_shards();
-  /// Everything after simulation/net/prefix wiring: shards, storage (when
-  /// not shared), fabrics, blades, hosts. Identical for both ownership
-  /// modes so a standalone and a federated site are byte-for-byte the same
+  /// Everything after simulation/net/zone wiring: storage (when not
+  /// shared), fabrics, blades, hosts. Identical for both ownership modes so
+  /// a standalone and a federated site are byte-for-byte the same
   /// enclosure.
   void build();
 
@@ -159,8 +140,8 @@ class Testbed {
   std::unique_ptr<sim::FluidNet> owned_net_;
   sim::Simulation* sim_ = nullptr;
   sim::FluidNet* net_ = nullptr;
+  sim::FluidScheduler* zone_ = nullptr;
   std::string prefix_;
-  std::size_t zone_index_ = 0;
   std::unique_ptr<vmm::SharedStorage> owned_storage_;
   vmm::SharedStorage* storage_ = nullptr;
   std::unique_ptr<net::IbFabric> ib_fabric_;

@@ -234,10 +234,11 @@ sim::Task Fabric::transfer(AttachmentPtr src, FabricAddress dst_addr, Bytes byte
     landing.append_shares(
         landing.pick_path(net::ClosFabric::kSpineAttach, landing.leaf_of(*dst->port_)), shares);
   }
+  std::vector<sim::WanLink*> links;
   for (const WanHop& hop : hops) {
-    // Both WAN endpoints are crossed (shared medium), so exactly one of
-    // them is always foreign to the flow's home domain and the link's
-    // CapPolicy governs the published boundary cap in either direction.
+    // Both WAN endpoints are crossed (shared medium, weight 1 = wire
+    // bytes); the link's Mathis ceiling caps the flow itself.
+    links.push_back(hop.wan);
     shares.push_back({&hop.egress->tx(), 1.0});
     shares.push_back({&hop.wan->a(), 1.0});
     shares.push_back({&hop.wan->b(), 1.0});
@@ -261,7 +262,14 @@ sim::Task Fabric::transfer(AttachmentPtr src, FabricAddress dst_addr, Bytes byte
   sim::FlowSpec spec{.work = static_cast<double>(bytes.count()),
                      .shares = std::move(shares),
                      .max_rate = opts.max_rate};
-  co_await net_->run(std::move(spec));
+  if (links.empty()) {
+    co_await net_->run(std::move(spec));
+    co_return;
+  }
+  const sim::FlowPtr flow = sim::WanLink::start_crossing(*net_, std::move(spec), links);
+  if (!flow->finished()) {
+    co_await flow->completion().wait();
+  }
 }
 
 }  // namespace nm::net

@@ -112,9 +112,8 @@ struct FabricSpec {
 
 class Fabric {
  public:
-  /// `net` carries every transfer's bandwidth flow; a transfer whose
-  /// endpoints live in different domains (src tx in one blade's domain,
-  /// dst rx in another's) is a boundary flow.
+  /// `net` carries every transfer's bandwidth flow; both endpoints (and any
+  /// WAN route between them) must live in one domain of it.
   Fabric(sim::FluidNet& net, FabricSpec spec);
   virtual ~Fabric() = default;
   Fabric(const Fabric&) = delete;

@@ -13,18 +13,14 @@ namespace nm::net {
 
 class NicPort {
  public:
+  /// tx/rx register in the node's domain, next to the CPU that transfers
+  /// through this port may charge.
   NicPort(hw::Node& node, std::string name, Bandwidth line_rate)
-      : NicPort(node, std::move(name), line_rate, node.scheduler()) {}
-  /// Places tx/rx on an explicit scheduler instead of the node's. Transfers
-  /// through this port may still cross resources in other domains: they
-  /// become boundary flows solved by the ghost-capacity exchange
-  /// (DESIGN.md §6).
-  NicPort(hw::Node& node, std::string name, Bandwidth line_rate, sim::FluidScheduler& scheduler)
       : node_(&node),
         name_(std::move(name)),
         line_rate_(line_rate),
-        tx_(scheduler, "tx:" + name_, line_rate.bytes_per_second()),
-        rx_(scheduler, "rx:" + name_, line_rate.bytes_per_second()) {}
+        tx_(node.scheduler(), "tx:" + name_, line_rate.bytes_per_second()),
+        rx_(node.scheduler(), "rx:" + name_, line_rate.bytes_per_second()) {}
   NicPort(const NicPort&) = delete;
   NicPort& operator=(const NicPort&) = delete;
 

@@ -170,7 +170,6 @@ void FluidScheduler::unregister_resource(FluidResource& res) {
     if (it != rs.end()) {
       *it = rs.back();
       rs.pop_back();
-      ++comp->admission_gen;  // local resource indices shifted
     }
   }
   slot_comp_[slot] = kNone;
@@ -248,7 +247,6 @@ FlowPtr FluidScheduler::start(FlowSpec spec) {
   flow->comp_ = target->id;
   flow->comp_index_ = static_cast<std::uint32_t>(target->flows.size());
   target->flows.push_back(flow.get());
-  ++target->admission_gen;
   mark_dirty(*target);
   return flow;
 }
@@ -292,7 +290,6 @@ void FluidScheduler::merge_into(Component& dst, Component& src) {
     slot_comp_[slot] = dst.id;
     dst.res_slots.push_back(slot);
   }
-  ++dst.admission_gen;
   if (src.dirty) {
     mark_dirty(dst);
   }
@@ -315,10 +312,8 @@ void FluidScheduler::mark_dirty(Component& comp) {
 }
 
 void FluidScheduler::settle_pending() {
-  // Boundary flows couple domains, so dirt anywhere in the pool can move
-  // this flow's rate; the pool's settle solves every dirty component of
-  // every domain to the coupled fixed point, exactly as the end-of-instant
-  // hook would (which then finds nothing left to do).
+  // The pool's settle solves every dirty component of every domain, exactly
+  // as the end-of-instant hook would (which then finds nothing left to do).
   if (pool_->any_dirty()) {
     pool_->settle();
   }
@@ -397,16 +392,13 @@ void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, S
     }
     cf[out_idx] = f;
     f->comp_index_ = static_cast<std::uint32_t>(out_idx);
-    const double cap = f->effective_cap();
+    const double cap = f->max_rate_;
     if (std::isfinite(cap)) {
       scratch.cap_heap.emplace_back(cap, static_cast<std::uint32_t>(out_idx));
     }
     ++out_idx;
   }
-  if (out_idx != cf.size()) {
-    cf.resize(out_idx);
-    ++comp.admission_gen;  // membership changed: the cached layout is stale
-  }
+  cf.resize(out_idx);
   std::fill_n(scratch.f_frozen.begin(), cf.size(), std::uint8_t{0});
   for (const auto slot : comp.res_slots) {
     FluidResource* res = res_slots_[slot];
@@ -422,9 +414,6 @@ void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, S
     }
     res->consume_rate_ = 0.0;
     res->rate_since_ = now;
-    // Re-stamped by water_fill in the round (if any) where the resource
-    // binds; FluidNet offers read the post-solve value.
-    res->bound_level_ = -std::numeric_limits<double>::infinity();
     scratch.res_residual[slot] = res->capacity_;
     // Seeded from the incrementally maintained aggregates (start /
     // finish_flow_local), read after pass 1 so this solve's completions are
@@ -447,8 +436,6 @@ void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, S
       scratch.r_live.push_back(j);
     }
   }
-  ensure_layout(comp, scratch);
-
   out.next_completion_s = water_fill(comp, scratch);
 
   // Resource writeback (flow rates were written as their freeze batches
@@ -462,63 +449,13 @@ void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, S
   }
 }
 
-void FluidScheduler::ensure_layout(Component& comp, SolveScratch& scratch) {
-  auto& lay = comp.layout;
-  if (lay.built_gen == comp.admission_gen) {
-    return;
-  }
-  if (lay.seen_gen != comp.admission_gen) {
-    // First solve at this membership: don't build — churning components
-    // (admissions or completions every solve) would pay a full transpose
-    // rebuild per solve only to use it once. water_fill falls back to the
-    // admission-order flow scan until the membership proves stable.
-    lay.seen_gen = comp.admission_gen;
-    return;
-  }
-  const auto nf = static_cast<std::uint32_t>(comp.flows.size());
-  const auto nr = static_cast<std::uint32_t>(comp.res_slots.size());
-  lay.n_res = nr;
-  if (scratch.slot_local.size() < res_slots_.size()) {
-    scratch.slot_local.resize(res_slots_.size());
-  }
-  for (std::uint32_t j = 0; j < nr; ++j) {
-    scratch.slot_local[comp.res_slots[j]] = j;
-  }
-  // Transpose via counting sort: per-resource flow lists, admission order.
-  lay.rflow_off.assign(nr + 1, 0);
-  std::uint32_t total = 0;
-  for (std::uint32_t i = 0; i < nf; ++i) {
-    for (const auto& share : comp.flows[i]->shares_) {
-      ++lay.rflow_off[scratch.slot_local[share.resource->slot_] + 1];
-      ++total;
-    }
-  }
-  for (std::uint32_t j = 0; j < nr; ++j) {
-    lay.rflow_off[j + 1] += lay.rflow_off[j];
-  }
-  lay.rflow_ids.resize(total);
-  if (scratch.rflow_cursor.size() < nr) {
-    scratch.rflow_cursor.resize(nr);
-  }
-  std::copy(lay.rflow_off.begin(), lay.rflow_off.begin() + nr, scratch.rflow_cursor.begin());
-  for (std::uint32_t i = 0; i < nf; ++i) {
-    for (const auto& share : comp.flows[i]->shares_) {
-      lay.rflow_ids[scratch.rflow_cursor[scratch.slot_local[share.resource->slot_]]++] = i;
-    }
-  }
-  lay.built_gen = comp.admission_gen;
-}
-
 double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
   // Water-level filling over the dense arrays: each round takes the
   // tightest constraint (a resource's equal-share or the heap-top cap),
   // freezing tied capped flows straight off the cap heap and every flow
-  // crossing a binding resource — through the cached transpose list when
-  // the membership is stable, or an admission-order flow scan when it is
-  // churning. Across a whole solve each flow is batched exactly once and
-  // each heap entry pops once.
-  const auto& lay = comp.layout;
-  const bool transposed = lay.built_gen == comp.admission_gen;
+  // crossing a binding resource through an admission-order flow scan.
+  // Across a whole solve each flow is batched exactly once and each heap
+  // entry pops once.
   auto& cf = comp.flows;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const auto heap_cmp = std::greater<>{};
@@ -565,7 +502,6 @@ double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
       // run in the same per-flow sequence as the general path, so the
       // committed consume_rate_ is bit-identical.
       const auto slot = comp.res_slots[live.front()];
-      res_slots_[slot]->bound_level_ = bound;
       const auto nf = static_cast<std::uint32_t>(cf.size());
       double bound_min_remaining = kInf;
       double residual = scratch.res_residual[slot];
@@ -574,7 +510,7 @@ double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
           continue;
         }
         Flow* f = cf[i];
-        const double rate = std::min(bound, f->effective_cap());
+        const double rate = std::min(bound, f->max_rate_);
         f->rate_ = rate;
         residual -= rate * f->w0_;
         if (rate == bound) {
@@ -608,9 +544,7 @@ double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
     }
     // Resources whose equal-share sits at the level freeze every unfrozen
     // flow they carry. A cap and a resource can tie within the same round
-    // (the tolerance band below); handling both in one round stamps each
-    // binding resource's bound_level_ — which the FluidNet exchange reads
-    // for its capacity offers — with the level it actually saturated at.
+    // (the tolerance band below); both freeze in this one round.
     bool any_binding = false;
     for (const std::uint32_t j : live) {
       const auto slot = comp.res_slots[j];
@@ -619,26 +553,12 @@ double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
               bound * (1.0 + 1e-12)) {
         continue;
       }
-      // The max-min level this resource saturated at; stable until the
-      // next solve, so FluidNet's exchange can read it after compute.
-      res_slots_[slot]->bound_level_ = bound;
       any_binding = true;
-      if (transposed) {
-        for (std::uint32_t s = lay.rflow_off[j]; s < lay.rflow_off[j + 1]; ++s) {
-          const std::uint32_t idx = lay.rflow_ids[s];
-          if (scratch.f_frozen[idx] == 0) {
-            scratch.f_frozen[idx] = 1;
-            batch.push_back(idx);
-          }
-        }
-      } else {
-        scratch.res_binding[slot] = 1;
-      }
+      scratch.res_binding[slot] = 1;
     }
-    if (!transposed && any_binding && batch.empty()) {
-      // Fused fallback for the common pure-resource round on churning
-      // membership (no caps tied this round): freeze and apply in one
-      // admission-order pass. The scan order *is* the batch order, so the
+    if (any_binding && batch.empty()) {
+      // Fused path for the common pure-resource round (no caps tied this
+      // round): freeze and apply in one admission-order pass. The scan order *is* the batch order, so the
       // subtractive float updates run in the exact sequence the two-phase
       // path below would use — bit-identical, half the memory traffic.
       const auto nf = static_cast<std::uint32_t>(cf.size());
@@ -661,7 +581,7 @@ double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
         }
         scratch.f_frozen[i] = 1;
         ++frozen_this_round;
-        const double rate = std::min(bound, f->effective_cap());
+        const double rate = std::min(bound, f->max_rate_);
         f->rate_ = rate;
         for (const auto& share : f->shares_) {
           const auto slot = share.resource->slot_;
@@ -687,10 +607,10 @@ double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
       left -= frozen_this_round;
       continue;
     }
-    if (!transposed && any_binding) {
-      // Mixed round (caps and resources tied at one level) on churning
-      // membership: gather into the batch so cap-popped and resource-bound
-      // flows freeze together in admission order.
+    if (any_binding) {
+      // Mixed round (caps and resources tied at one level): gather into
+      // the batch so cap-popped and resource-bound flows freeze together
+      // in admission order.
       const auto nf = static_cast<std::uint32_t>(cf.size());
       for (std::uint32_t i = 0; i < nf; ++i) {
         if (scratch.f_frozen[i] != 0) {
@@ -724,7 +644,7 @@ double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
     double bound_min_remaining = kInf;
     for (const std::uint32_t idx : batch) {
       Flow* f = cf[idx];
-      const double rate = std::min(bound, f->effective_cap());
+      const double rate = std::min(bound, f->max_rate_);
       f->rate_ = rate;
       for (const auto& share : f->shares_) {
         const auto slot = share.resource->slot_;
@@ -755,7 +675,7 @@ std::string FluidScheduler::describe_component(const Component& comp) const {
   for (const auto slot : comp.res_slots) {
     const FluidResource* res = res_slots_[slot];
     os << "\n  resource[" << slot << "] " << res->name_ << ": capacity=" << res->capacity_
-       << " bound_level=" << res->bound_level_ << " active_flows=" << res->active_flows_;
+       << " active_flows=" << res->active_flows_;
   }
   constexpr std::size_t kMaxFlows = 64;
   const std::size_t shown = std::min(comp.flows.size(), kMaxFlows);
@@ -766,10 +686,7 @@ std::string FluidScheduler::describe_component(const Component& comp) const {
       os << " '" << f->name_ << "'";
     }
     os << ": remaining=" << f->remaining_ << " rate=" << f->rate_
-       << " cap=" << f->effective_cap();
-    if (f->ghost_) {
-      os << " ghost";
-    }
+       << " cap=" << f->max_rate_;
     if (f->suspended_) {
       os << " suspended";
     }

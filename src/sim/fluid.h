@@ -19,6 +19,11 @@
 // never costs O(all flows in the system) — per-event cost is O(component),
 // independent of how many other (clean) components exist. See DESIGN.md §5
 // "Scheduler incrementality" for the determinism argument.
+//
+// Resources register in a domain (FluidScheduler) of a FluidNet, and a flow
+// crosses resources of exactly one domain, so every coupled set of flows —
+// a whole federation included — is solved as one exact max-min problem.
+// Domains only split topologies that share no flow (DESIGN.md §6).
 #pragma once
 
 #include <cstdint>
@@ -42,31 +47,10 @@ inline constexpr double kUncappedRate = std::numeric_limits<double>::infinity();
 
 class FluidResource;
 
-/// Pluggable published-capacity policy consulted by the FluidNet boundary
-/// exchange (DESIGN.md §7). When a resource carries one, the exchange folds
-/// the policy's offer into a ghost flow's capacity instead of publishing the
-/// plain fair-share offer — this is how a WAN link (sim/wan_link.h) makes
-/// its published caps follow a latency/bandwidth/loss model.
-///
-/// `fair_offer` is the fair-share offer the resource would extend to the
-/// boundary flow (flow-rate units); `weight` is the ghost's consumption
-/// weight on the resource, so a policy expressing a wire-rate model returns
-/// `model_rate / weight` to convert into flow-rate units. Implementations
-/// must be deterministic functions of simulation state (they run inside the
-/// serial exchange, between parallel compute rounds), and must never offer
-/// *more* than `fair_offer` would in steady state if the split-vs-merged
-/// equivalence is to be preserved for the unimpaired case.
-class CapPolicy {
- public:
-  virtual ~CapPolicy() = default;
-  [[nodiscard]] virtual double offer(const FluidResource& res, double weight, double fair_offer,
-                                     TimePoint now) = 0;
-};
-
 /// A capacity-bearing resource. Units are caller-defined (cores, bytes/s).
 /// A resource registers with its owning scheduler at construction, which
-/// gives it a stable dense index; only flows of that scheduler (or
-/// boundary flows of the owning FluidNet) may cross it.
+/// gives it a stable dense index; only flows of that scheduler may cross
+/// it.
 class FluidResource {
  public:
   FluidResource(FluidScheduler& owner, std::string name, double capacity);
@@ -94,13 +78,6 @@ class FluidResource {
   /// Mean utilization (fraction of capacity) over [since, until].
   [[nodiscard]] double utilization_over(double consumed_before, Duration window) const;
 
-  /// Attaches a published-capacity policy consulted by the FluidNet ghost
-  /// exchange when this resource hosts ghost shares (a WanLink attaches
-  /// itself to its endpoint pair; see sim/wan_link.h). nullptr detaches.
-  /// Plain single-scheduler solves never consult the policy.
-  void set_cap_policy(CapPolicy* policy) { cap_policy_ = policy; }
-  [[nodiscard]] CapPolicy* cap_policy() const { return cap_policy_; }
-
  private:
   friend class FluidScheduler;
   friend class FluidNet;
@@ -114,12 +91,6 @@ class FluidResource {
   /// integer `active_flows_`, never this sum: repeated add/subtract leaves
   /// fp residue behind.
   double active_wsum_ = 0.0;
-  /// The progressive-filling level at which this resource became binding in
-  /// its component's most recent solve (−inf when it never bound). A
-  /// resource binds in at most one filling round, so the stamp is unique
-  /// per solve. FluidNet's ghost-capacity offers read it to advertise the
-  /// max-min fair level a boundary flow could claim here.
-  double bound_level_ = -std::numeric_limits<double>::infinity();
   /// Consumption integrated up to `rate_since_` (written only at solve
   /// time, per flow-share in component-flow order, so the float summation
   /// order is independent of when readers sample).
@@ -130,7 +101,6 @@ class FluidResource {
   double consume_rate_ = 0.0;
   TimePoint rate_since_;
   FluidScheduler* scheduler_ = nullptr;
-  CapPolicy* cap_policy_ = nullptr;
   /// Stable dense index in the owning scheduler's resource registry
   /// (meaningful while scheduler_ is set).
   std::uint32_t slot_ = 0;
@@ -232,7 +202,6 @@ class alignas(64) Flow {
 
  private:
   friend class FluidScheduler;
-  friend class FluidNet;
   Flow(Simulation& sim, double work, std::vector<ResourceShare> shares, double max_rate,
        std::string name)
       : remaining_(work),
@@ -245,21 +214,12 @@ class alignas(64) Flow {
 
   static constexpr std::uint32_t kNoIndex = 0xffffffffU;
 
-  /// The cap the solver actually honors: the user cap min the tightest
-  /// rate the foreign domains currently advertise (boundary flows only;
-  /// boundary_cap_ stays +inf for local flows, so the min is exact).
-  [[nodiscard]] double effective_cap() const { return std::min(max_rate_, boundary_cap_); }
-
   // Solver-hot fields first: the class is 64-byte aligned so everything the
   // per-solve passes touch (integration, completion test, cap gathering,
   // water-level freezing) lands on one cache line per flow.
   double remaining_;
   double rate_ = 0.0;
   double max_rate_;
-  /// Cross-domain coupling (FluidNet): a ghost flow mirrors a boundary
-  /// flow's demand into a foreign domain; the home flow's boundary_cap_
-  /// is refreshed by the settle-time exchange from the ghosts' offers.
-  double boundary_cap_ = std::numeric_limits<double>::infinity();
   TimePoint last_update_;
   /// Cached shares_.front().weight (shares are immutable after admission):
   /// lets the single-resource water-fill fast path skip the shares_ deref.
@@ -269,7 +229,6 @@ class alignas(64) Flow {
   std::uint32_t comp_ = kNoIndex;
   std::uint32_t comp_index_ = kNoIndex;
   std::uint32_t global_index_ = kNoIndex;
-  bool ghost_ = false;
   bool suspended_ = false;
   bool finished_ = false;
   // Cold fields (admission-time or rare-path only) below.
@@ -288,19 +247,17 @@ using FlowPtr = std::shared_ptr<Flow>;
 
 /// A topology shard: one independently-solved fluid domain over the shared
 /// simulation clock. Only FluidNet::add_domain creates one, attached to the
-/// net's SolvePool, which settles every domain of the net. When the
-/// partition follows the modelled topology's connectivity (no flow ever
-/// spans domains) the split is exact: rates in one domain never depend on
-/// another domain's state, and every domain's timers drain through the one
-/// simulation's (time, sequence) event queue, so the merged timeline is
-/// bit-identical for every valid partitioning. Every flow is admitted
-/// through FluidNet::start; one that spans domains becomes a boundary
-/// flow, and the settle-time ghost-capacity exchange couples the domains'
-/// solves and converges to the same max-min rates one merged domain would
-/// compute — see DESIGN.md §6. Resources of distinct domains may be
-/// constructed from distinct threads (each touches only its own domain's
-/// registry; the shared Simulation takes no posts) — see bench_scalability
-/// and sim_sharding_test.
+/// net's SolvePool, which settles every domain of the net. A flow's
+/// resources all belong to one domain (FluidNet::start rejects a spec that
+/// spans two), so rates in one domain never depend on another domain's
+/// state; every domain's timers drain through the one simulation's (time,
+/// sequence) event queue, so the merged timeline is bit-identical for every
+/// partition that follows the modelled topology's connectivity. Anything
+/// coupled — a federation's sites and WAN links included — lives in one
+/// domain and is solved exactly as one max-min problem (DESIGN.md §6).
+/// Resources of distinct domains may be constructed from distinct threads
+/// (each touches only its own domain's registry; the shared Simulation
+/// takes no posts) — see bench_scalability and sim_sharding_test.
 class FluidScheduler {
  public:
   ~FluidScheduler();
@@ -330,9 +287,8 @@ class FluidScheduler {
   FluidScheduler(FluidNet& net, std::string name);
 
   /// Admits a flow over resources all owned by this domain (FluidNet::start
-  /// routes here, and registers specs spanning domains as boundary flows).
-  /// A zero-work flow completes immediately. Every resource must outlive
-  /// the flow.
+  /// routes here). A zero-work flow completes immediately. Every resource
+  /// must outlive the flow.
   FlowPtr start(FlowSpec spec);
 
   /// A connected component of the flow/resource bipartite graph: the unit
@@ -350,31 +306,6 @@ class FluidScheduler {
     /// one uniform elapsed window instead of differencing per flow.
     /// merge_into integrates both sides first to keep the invariant.
     TimePoint last_solved;
-    /// Admission generation: bumped whenever membership changes (a flow is
-    /// admitted, completes, or is retired by the exchange; a resource slot
-    /// joins or leaves). Pure rate/cap/capacity mutations leave it alone, so
-    /// the cached solve layout below — and anything else keyed on flow
-    /// ordering — survives the common re-solve.
-    std::uint64_t admission_gen = 0;
-    /// Cached transpose (resource → flows) for binding-resource freeze
-    /// rounds. Built lazily on the second consecutive solve at the same
-    /// `admission_gen`: churning components (flows admitted or completing
-    /// every solve) never pay the build and use the admission-order flow
-    /// scan instead, while stable components (e.g. exchange-coupled ones
-    /// re-solved many times per settle) freeze through the list. Local
-    /// flow index = position in `flows` (admission order); local resource
-    /// index = position in `res_slots`.
-    struct Layout {
-      /// Sentinels distinct from any admission_gen so fresh components scan.
-      std::uint64_t built_gen = ~0ull;
-      /// Last admission generation a solve ran at; built_gen chases it.
-      std::uint64_t seen_gen = ~0ull;
-      std::uint32_t n_res = 0;
-      /// CSR transpose: resource → local flow indices, in admission order.
-      std::vector<std::uint32_t> rflow_off;  // n_res + 1
-      std::vector<std::uint32_t> rflow_ids;
-    };
-    Layout layout;
   };
 
   /// Scratch for the pure compute phase of a solve, owned per SolvePool
@@ -396,16 +327,13 @@ class FluidScheduler {
     /// Local indices of resources that still carry unfrozen flows,
     /// compacted as rounds freeze them out.
     std::vector<std::uint32_t> r_live;
-    /// Min-heap of (effective cap, local flow index): the "partial sort" —
+    /// Min-heap of (rate cap, local flow index): the "partial sort" —
     /// only the next cap band is ever in order, frozen entries are dropped
     /// lazily at pop. The pair compare breaks cap ties by admission index.
     std::vector<std::pair<double, std::uint32_t>> cap_heap;
     /// Flows freezing in the current round, restored to admission order
     /// before their subtractive updates run.
     std::vector<std::uint32_t> freeze_batch;
-    /// Slot → local resource index, valid only inside one layout build.
-    std::vector<std::uint32_t> slot_local;
-    std::vector<std::uint32_t> rflow_cursor;
   };
 
   /// Everything a compute phase hands to the serial commit phase: the flows
@@ -443,17 +371,13 @@ class FluidScheduler {
   /// mutates no scheduler-global state; completions and the next timer are
   /// reported through `out` for commit_component.
   void compute_component(Component& comp, SolveScratch& scratch, SolveResult& out);
-  /// Chases `comp.layout` toward `admission_gen`: builds the transpose only
-  /// on the second consecutive solve at the same generation (stable
-  /// membership), so churning components never pay the build.
-  void ensure_layout(Component& comp, SolveScratch& scratch);
   /// Water-level filling over the dense arrays prepared by
   /// compute_component: alternates cap-band rounds (heap pops) and
   /// binding-resource rounds (transpose-list freezes). Returns the earliest
   /// time-to-completion in seconds (+inf if nothing progresses).
   double water_fill(Component& comp, SolveScratch& scratch);
   /// Multi-line diagnostic dump of a component's resources (capacity,
-  /// residual bookkeeping, bound levels) and flows (demand, caps, shares)
+  /// active flow counts) and flows (demand, caps, shares)
   /// for solver no-progress failures. Cold path only.
   [[nodiscard]] std::string describe_component(const Component& comp) const;
   /// The serial commit phase: retires finished flows from the global list,

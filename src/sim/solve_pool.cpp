@@ -7,7 +7,7 @@
 
 namespace nm::sim {
 
-SolvePool::SolvePool(FluidNet& net, int workers) : net_(&net), sim_(&net.simulation()) {
+SolvePool::SolvePool(FluidNet& net, int workers) : sim_(&net.simulation()) {
   NM_CHECK(workers >= 0, "negative SolvePool worker count");
   scratch_.resize(static_cast<std::size_t>(workers) + 1);  // + the sim thread
   workers_.reserve(static_cast<std::size_t>(workers));
@@ -47,9 +47,11 @@ void SolvePool::settle() {
   // Phase 0 (serial): collect the batch in canonical order. Schedulers are
   // walked in attach (= domain id) order and their dirty lists re-checked
   // against the authoritative per-component flag (merges retire
-  // components). Component ids
-  // are unique within a dirty list (the flag dedups marks) and ascending
-  // within it is not guaranteed, so sort below.
+  // components). A dirty list is appended in mark order, and it can name
+  // one id twice: a dirty component merged away frees its id, and a
+  // component created later in the same instant may reuse it. So sort,
+  // then drop the duplicates — computing one component twice would race
+  // with workers and re-arm its timer twice.
   tasks_.clear();
   for (std::uint32_t domain = 0; domain < attached_.size(); ++domain) {
     FluidScheduler* sched = attached_[domain];
@@ -75,11 +77,14 @@ void SolvePool::settle() {
   const auto canonical = [](const TaskEntry& a, const TaskEntry& b) {
     return a.domain != b.domain ? a.domain < b.domain : a.comp->id < b.comp->id;
   };
-  // Dirty lists are appended in mark order, which is ascending in the
-  // common single-instant case — checking beats unconditionally sorting.
+  // Mark order is ascending in the common single-instant case — checking
+  // beats unconditionally sorting. Equal entries end up adjacent either way.
   if (!std::is_sorted(tasks_.begin(), tasks_.end(), canonical)) {
     std::sort(tasks_.begin(), tasks_.end(), canonical);
   }
+  tasks_.erase(std::unique(tasks_.begin(), tasks_.end(),
+                           [](const TaskEntry& a, const TaskEntry& b) { return a.comp == b.comp; }),
+               tasks_.end());
 
   ++settles_;
   solved_comps_ += tasks_.size();
@@ -88,97 +93,13 @@ void SolvePool::settle() {
     ++parallel_settles_;
   }
 
-  // Phase 1: compute. Round 0 solves every collected component; while the
-  // net has live boundary flows, further rounds
-  // alternate a serial exchange (publish boundary rates, refresh ghost
-  // caps) with a recompute of whatever the exchange moved, until the
-  // coupled rates reach a fixed point. Nothing is committed until every
-  // round is done, so the event queue sees no posts mid-iteration.
-  pending_.resize(tasks_.size());
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    pending_[i] = i;
-  }
-  if (net_->boundary_flow_count() == 0) {
-    compute_pending();
-  } else {
-    std::size_t rounds = 0;
-    while (true) {
-      compute_pending();
-      ++rounds;
-      // Bank completions: a later recompute of the same component clears
-      // result.finished, so move them aside in canonical round order.
-      for (const auto i : pending_) {
-        auto& task = tasks_[i];
-        for (auto& flow : task.result.finished) {
-          task.finished_acc.push_back(std::move(flow));
-        }
-        task.result.finished.clear();
-      }
-      // The cap breaks *after* a full compute: every component the last
-      // exchange re-dirtied has been re-solved (its dirty flag cleared),
-      // so the commit below strands nothing.
-      if (rounds >= kMaxExchangeRounds) {
-        ++unconverged_exchanges_;
-        break;
-      }
-      dirtied_.clear();
-      net_->exchange(dirtied_);
-      if (dirtied_.empty()) {
-        break;  // fixed point
-      }
-      // Map the re-dirtied components onto tasks, appending entries for
-      // components first touched by the exchange (e.g. a ghost's foreign
-      // component that was clean when the batch was collected).
-      pending_.clear();
-      for (const auto& [sched, comp_id] : dirtied_) {
-        std::size_t idx = tasks_.size();
-        for (std::size_t t = 0; t < tasks_.size(); ++t) {
-          if (tasks_[t].sched == sched && tasks_[t].comp->id == comp_id) {
-            idx = t;
-            break;
-          }
-        }
-        if (idx == tasks_.size()) {
-          auto* comp = comp_id < sched->comps_.size() ? sched->comps_[comp_id].get() : nullptr;
-          NM_CHECK(comp != nullptr, "exchange dirtied a retired component");
-          TaskEntry entry;
-          entry.sched = sched;
-          entry.comp = comp;
-          entry.domain = sched->pool_domain_;
-          tasks_.push_back(std::move(entry));
-        }
-        if (std::find(pending_.begin(), pending_.end(), idx) == pending_.end()) {
-          pending_.push_back(idx);
-        }
-      }
-      const auto pending_canonical = [this](std::size_t a, std::size_t b) {
-        const TaskEntry& ta = tasks_[a];
-        const TaskEntry& tb = tasks_[b];
-        return ta.domain != tb.domain ? ta.domain < tb.domain : ta.comp->id < tb.comp->id;
-      };
-      if (!std::is_sorted(pending_.begin(), pending_.end(), pending_canonical)) {
-        std::sort(pending_.begin(), pending_.end(), pending_canonical);
-      }
-      solved_comps_ += pending_.size();
-    }
-    exchange_rounds_ += rounds;
-    last_settle_rounds_ = rounds;
-    max_settle_rounds_ = std::max(max_settle_rounds_, rounds);
-    // Exchange-appended tasks arrived out of canonical order; restore it
-    // for the commit, then hand each task its banked completions.
-    if (!std::is_sorted(tasks_.begin(), tasks_.end(), canonical)) {
-      std::sort(tasks_.begin(), tasks_.end(), canonical);
-    }
-    for (auto& task : tasks_) {
-      task.result.finished = std::move(task.finished_acc);
-      task.finished_acc.clear();
-    }
-  }
+  // Phase 1: compute every collected component. Nothing is committed until
+  // every compute is done, so the event queue sees no posts mid-batch.
+  compute_batch();
 
   // Phase 2 (serial): commit in canonical order. This is the only phase
   // that posts timers or fires events, so the sequence numbers drawn from
-  // the shared queue are independent of how phase 1 interleaved (and, in
-  // exchange mode, of how many rounds it took to converge).
+  // the shared queue are independent of how phase 1 interleaved.
   for (auto& task : tasks_) {
     task.sched->commit_component(*task.comp, task.result);
   }
@@ -193,21 +114,21 @@ void SolvePool::settle() {
   tasks_.clear();
 }
 
-void SolvePool::compute_pending() {
-  // Single-task rounds (the common case for small episodes) and 0-worker
+void SolvePool::compute_batch() {
+  // Single-task batches (the common case for small episodes) and 0-worker
   // pools skip the handoff entirely; otherwise the simulation thread
   // steals alongside the workers (scratch slot workers_.size() is reserved
-  // for it). Threads claim kClaimChunk pending indices per mutex
+  // for it). Threads claim kClaimChunk task indices per mutex
   // round-trip — the compute itself runs unlocked, and the lock gives
   // every thread a consistent view of the round (no stale-epoch stealing)
   // plus the happens-before edge the commit phase needs.
-  if (pending_.size() == 1 || workers_.empty()) {
-    for (const auto idx : pending_) {
-      run_compute(idx, workers_.size());
+  if (tasks_.size() == 1 || workers_.empty()) {
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+      run_compute(i, workers_.size());
     }
   } else {
     std::unique_lock<std::mutex> lk(mutex_);
-    round_count_ = pending_.size();
+    round_count_ = tasks_.size();
     next_claim_ = 0;
     done_tasks_ = 0;
     ++epoch_;
@@ -218,7 +139,7 @@ void SolvePool::compute_pending() {
       next_claim_ = end;
       lk.unlock();
       for (std::size_t i = begin; i < end; ++i) {
-        run_compute(pending_[i], workers_.size());
+        run_compute(i, workers_.size());
       }
       lk.lock();
       done_tasks_ += end - begin;
@@ -229,9 +150,9 @@ void SolvePool::compute_pending() {
   }
   // Surface the first compute error in canonical order (nothing has been
   // committed yet, so the failure point is deterministic).
-  for (const auto idx : pending_) {
-    if (tasks_[idx].error) {
-      std::rethrow_exception(tasks_[idx].error);
+  for (const auto& task : tasks_) {
+    if (task.error) {
+      std::rethrow_exception(task.error);
     }
   }
 }
@@ -260,7 +181,7 @@ void SolvePool::worker_main(std::size_t worker_index) {
       next_claim_ = end;
       lk.unlock();
       for (std::size_t i = begin; i < end; ++i) {
-        run_compute(pending_[i], worker_index);
+        run_compute(i, worker_index);
       }
       lk.lock();
       done_tasks_ += end - begin;

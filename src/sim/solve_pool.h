@@ -12,7 +12,8 @@
 //      same settle early when something is dirty, and Flow::finished() is a
 //      pure read.
 //   2. The batch is sorted by (domain id, component id) — a canonical
-//      order independent of mark order and of worker count.
+//      order independent of mark order and of worker count — and
+//      deduplicated, so no component is computed twice.
 //   3. Workers (plus the simulation thread) run only the *pure compute*
 //      phase (FluidScheduler::compute_component): each task touches its own
 //      component's flows/resources and a per-worker scratch, nothing else.
@@ -20,7 +21,8 @@
 //      serially in the canonical order. Commits are the only place timer
 //      posts and completion events enter the shared Simulation queue, so
 //      they draw exactly the sequence numbers the serial schedule would.
-// See DESIGN.md §5 "Parallel dirty-domain solving".
+// A flow never spans domains, so one compute round settles every batch
+// exactly. See DESIGN.md §5 "Parallel dirty-domain solving".
 #pragma once
 
 #include <condition_variable>
@@ -28,7 +30,6 @@
 #include <exception>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "sim/fluid.h"
@@ -40,11 +41,10 @@ class SolvePool {
  public:
   /// Spawns `workers` persistent threads (>= 0; with 0 the simulation
   /// thread computes every batch itself — the pool then only provides the
-  /// settle-hook batching and the exchange loop) and registers the settle
-  /// hook with `net`'s simulation. Only `net` creates its pool; its
-  /// schedulers attach themselves at construction (see
-  /// FluidNet::add_domain). The pool must outlive every one of them and be
-  /// destroyed before the simulation.
+  /// settle-hook batching) and registers the settle hook with `net`'s
+  /// simulation. Only `net` creates its pool; its schedulers attach
+  /// themselves at construction (see FluidNet::add_domain). The pool must
+  /// outlive every one of them and be destroyed before the simulation.
   SolvePool(FluidNet& net, int workers);
   ~SolvePool();
   SolvePool(const SolvePool&) = delete;
@@ -62,30 +62,16 @@ class SolvePool {
   [[nodiscard]] std::size_t parallel_settle_count() const { return parallel_settles_; }
   [[nodiscard]] std::size_t solved_component_count() const { return solved_comps_; }
   [[nodiscard]] std::size_t max_batch_size() const { return max_batch_; }
-  /// Compute rounds run inside exchanging settles (1 round = solve all
-  /// pending components once), and how many settles hit the round cap
-  /// before the exchange reached its fixed point.
-  [[nodiscard]] std::size_t exchange_round_count() const { return exchange_rounds_; }
-  [[nodiscard]] std::size_t unconverged_exchange_count() const { return unconverged_exchanges_; }
-  /// Per-settle visibility on the same counter: rounds of the most recent
-  /// exchanging settle, and the worst settle observed since construction.
-  /// A healthy scenario stays far below kMaxExchangeRounds; tests gate on
-  /// the max to catch convergence regressions before the safety valve
-  /// silently absorbs them.
-  [[nodiscard]] std::size_t last_settle_exchange_rounds() const { return last_settle_rounds_; }
-  [[nodiscard]] std::size_t max_exchange_rounds_per_settle() const { return max_settle_rounds_; }
+  /// Always 0: there is no boundary exchange any more. Kept only for
+  /// perfbench's sim.exchange.* metrics; the next perfbench change removes
+  /// them.
+  [[nodiscard]] std::size_t exchange_round_count() const { return 0; }
+  [[nodiscard]] std::size_t unconverged_exchange_count() const { return 0; }
+  [[nodiscard]] std::size_t max_exchange_rounds_per_settle() const { return 0; }
 
  private:
   friend class FluidScheduler;
-  friend class FluidNet;
 
-  /// Safety valve for a non-converging exchange: commit whatever the last
-  /// round produced (all dirty flags are already cleared by then, so
-  /// nothing is stranded) and count it in unconverged_exchange_count().
-  /// The Jacobi iteration contracts geometrically (observed worst case
-  /// ~0.7/round on coupled-bottleneck chains, ~75 rounds to 1e-12), so 256
-  /// leaves a wide margin while still bounding a pathological settle.
-  static constexpr std::size_t kMaxExchangeRounds = 256;
   /// Indices a thread claims per mutex round-trip: batches of tiny
   /// singleton components stop paying one lock handoff each.
   static constexpr std::size_t kClaimChunk = 4;
@@ -95,45 +81,33 @@ class SolvePool {
     FluidScheduler::Component* comp = nullptr;
     std::uint32_t domain = 0;
     FluidScheduler::SolveResult result;
-    /// Completions banked across exchange rounds (each recompute clears
-    /// result.finished); swapped back into result before the final commit.
-    std::vector<FlowPtr> finished_acc;
     std::exception_ptr error;
   };
 
   /// Called by an attached scheduler on every dirty mark; arms the kernel
   /// settle hook for the current instant.
   void notify_dirty(FluidScheduler& scheduler);
-  /// The settle hook body: collect → (parallel compute ↔ serial exchange)*
-  /// → serial commit in canonical order. While the net has boundary flows,
-  /// compute rounds alternate with its exchange (FluidNet::exchange:
-  /// publish boundary rates, refresh ghost caps) until a fixed point;
-  /// without boundary flows one compute round settles everything.
-  void settle();
-  /// Computes every task listed in pending_ (parallel when workers exist
-  /// and the round has 2+ tasks), then rethrows the first compute error in
+  /// The settle hook body: collect → parallel compute → serial commit in
   /// canonical order.
-  void compute_pending();
+  void settle();
+  /// Computes every task of the batch (parallel when workers exist and the
+  /// batch has 2+ tasks), then rethrows the first compute error in
+  /// canonical order.
+  void compute_batch();
   void run_compute(std::size_t task_index, std::size_t scratch_index);
   void worker_main(std::size_t worker_index);
 
-  FluidNet* net_;
   Simulation* sim_;
   std::uint64_t hook_id_ = 0;
   /// Attach-ordered: index = canonical domain id.
   std::vector<FluidScheduler*> attached_;
 
   // The task batch for the current settle. Published to workers under
-  // `mutex_` by bumping `epoch_`; pending indices are claimed under the
-  // same mutex (the compute runs unlocked), and the `done_tasks_` count
-  // both signals completion and gives the commit phase a happens-before
-  // edge over every compute phase.
+  // `mutex_` by bumping `epoch_`; task indices are claimed under the same
+  // mutex (the compute runs unlocked), and the `done_tasks_` count both
+  // signals completion and gives the commit phase a happens-before edge
+  // over every compute phase.
   std::vector<TaskEntry> tasks_;
-  /// Indices into tasks_ to compute this round, in canonical order. Round
-  /// 0 lists every collected task; later (exchange) rounds list just the
-  /// components the exchange re-dirtied.
-  std::vector<std::size_t> pending_;
-  std::vector<std::pair<FluidScheduler*, std::uint32_t>> dirtied_;
   std::vector<FluidScheduler::SolveScratch> scratch_;  // workers + sim thread
   std::vector<std::thread> workers_;
   std::mutex mutex_;
@@ -149,10 +123,6 @@ class SolvePool {
   std::size_t parallel_settles_ = 0;
   std::size_t solved_comps_ = 0;
   std::size_t max_batch_ = 0;
-  std::size_t exchange_rounds_ = 0;
-  std::size_t unconverged_exchanges_ = 0;
-  std::size_t last_settle_rounds_ = 0;
-  std::size_t max_settle_rounds_ = 0;
 };
 
 }  // namespace nm::sim

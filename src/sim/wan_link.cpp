@@ -4,25 +4,22 @@
 #include <cmath>
 #include <limits>
 
+#include "sim/fluid_net.h"
 #include "util/error.h"
 
 namespace nm::sim {
 
-WanLink::WanLink(Simulation& sim, FluidScheduler& side_a, FluidScheduler& side_b, std::string name,
-                 WanLinkConfig config)
+WanLink::WanLink(Simulation& sim, FluidScheduler& domain, std::string name, WanLinkConfig config)
     : sim_(&sim),
       name_(std::move(name)),
       config_(std::move(config)),
       rtt_(config_.rtt),
-      a_(side_a, "wan:" + name_ + ":a", config_.line_rate.bytes_per_second()),
-      b_(side_b, "wan:" + name_ + ":b", config_.line_rate.bytes_per_second()) {
-  NM_CHECK(&side_a != &side_b, "WAN link " << name_ << " endpoints must be in different domains");
+      a_(domain, "wan:" + name_ + ":a", config_.line_rate.bytes_per_second()),
+      b_(domain, "wan:" + name_ + ":b", config_.line_rate.bytes_per_second()) {
   NM_CHECK(config_.loss >= 0.0 && config_.loss < 1.0,
            "WAN link " << name_ << " loss " << config_.loss << " outside [0, 1)");
   NM_CHECK(config_.mss_bytes > 0.0, "WAN link " << name_ << " needs a positive MSS");
   NM_CHECK(!config_.rtt.is_negative(), "WAN link " << name_ << " has a negative RTT");
-  a_.set_cap_policy(this);
-  b_.set_cap_policy(this);
 
   Duration prev = Duration::zero();
   for (std::size_t i = 0; i < config_.schedule.size(); ++i) {
@@ -42,11 +39,6 @@ WanLink::WanLink(Simulation& sim, FluidScheduler& side_a, FluidScheduler& side_b
       });
     }
   }
-}
-
-WanLink::~WanLink() {
-  a_.set_cap_policy(nullptr);
-  b_.set_cap_policy(nullptr);
 }
 
 double WanLink::mathis_rate() const {
@@ -71,14 +63,44 @@ void WanLink::inject_phase(double capacity_factor, Duration rtt) {
   apply(capacity_factor, rtt);
 }
 
-double WanLink::offer(const FluidResource& /*res*/, double weight, double fair_offer,
-                      TimePoint /*now*/) {
-  // fair_offer is in flow-rate units; the model rate is a wire rate, so a
-  // share with weight w may progress at most effective_rate() / w. Taking
-  // the min (never the model rate alone) keeps the exchange's fixed point
-  // at or below the merged solver's rate, so an unimpaired link is exactly
-  // the fair-share boundary pair.
-  return std::min(fair_offer, effective_rate() / weight);
+double WanLink::Crossing::cap() const {
+  double cap = base_cap;
+  for (const auto& [link, weight] : hops) {
+    cap = std::min(cap, link->mathis_rate() / weight);
+  }
+  return cap;
+}
+
+FlowPtr WanLink::start_crossing(FluidNet& net, FlowSpec spec, const std::vector<WanLink*>& links) {
+  auto crossing = std::make_shared<Crossing>();
+  crossing->base_cap = spec.max_rate;
+  for (WanLink* link : links) {
+    const auto share =
+        std::find_if(spec.shares.begin(), spec.shares.end(),
+                     [link](const ResourceShare& s) { return s.resource == &link->a_; });
+    NM_CHECK(share != spec.shares.end(), "flow does not cross WAN link " << link->name_);
+    crossing->hops.emplace_back(link, share->weight);
+  }
+  spec.max_rate = crossing->cap();
+  FlowPtr flow = net.start(std::move(spec));
+  if (!flow->finished()) {
+    crossing->flow = flow;
+    for (const auto& hop : crossing->hops) {
+      hop.first->track(crossing);
+    }
+  }
+  return flow;
+}
+
+void WanLink::track(const std::shared_ptr<Crossing>& crossing) {
+  if (crossings_.size() >= prune_at_) {
+    std::erase_if(crossings_, [](const std::shared_ptr<Crossing>& c) {
+      const FlowPtr flow = c->flow.lock();
+      return flow == nullptr || flow->finished();
+    });
+    prune_at_ = std::max<std::size_t>(64, 2 * crossings_.size());
+  }
+  crossings_.push_back(crossing);
 }
 
 void WanLink::apply_phase(std::size_t index) {
@@ -88,16 +110,24 @@ void WanLink::apply_phase(std::size_t index) {
 
 void WanLink::apply(double capacity_factor, Duration rtt) {
   factor_ = capacity_factor;
+  const bool rtt_moved = !rtt.is_zero() && rtt != rtt_;
   if (!rtt.is_zero()) {
     rtt_ = rtt;
   }
-  // Republish through set_capacity on both endpoints even when only the RTT
-  // moved: set_capacity unconditionally marks the owning components dirty,
-  // so the settle at this instant re-folds every crossing boundary cap
-  // against the new effective rate before any simulated time passes.
   const double cap = config_.line_rate.bytes_per_second() * factor_;
   a_.set_capacity(cap);
   b_.set_capacity(cap);
+  if (rtt_moved) {
+    // The Mathis ceiling moved with the RTT: re-cap every crossing flow
+    // still in flight (set_max_rate marks its component dirty, so the
+    // settle at this instant re-solves it before any simulated time
+    // passes).
+    for (const auto& crossing : crossings_) {
+      if (const FlowPtr flow = crossing->flow.lock(); flow != nullptr && !flow->finished()) {
+        flow->set_max_rate(crossing->cap());
+      }
+    }
+  }
 }
 
 }  // namespace nm::sim

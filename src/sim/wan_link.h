@@ -1,36 +1,34 @@
-// A calibrated inter-datacenter link: one boundary resource per side, in
-// two different FluidNet domains, whose published ghost caps follow a
-// latency/bandwidth/loss model instead of the plain fair-share offer.
-//
-// The link is a shared medium: a cross-site flow routed over both endpoints
-// always has exactly one endpoint foreign to its home domain, so the
-// FluidNet exchange consults the link's CapPolicy for every such flow —
-// regardless of direction — and folds
-//
-//     min(fair_offer, effective_rate() / weight)
-//
-// into the flow's boundary cap. `effective_rate()` is the line rate scaled
-// by the current congestion factor, ceilinged by the Mathis TCP throughput
-// model when the link has both RTT and loss:
+// A calibrated inter-datacenter link: two endpoint resources (one per
+// side, both in the domain that holds the sites it joins) whose capacity
+// is the line rate scaled by the current congestion factor, plus a
+// per-connection Mathis TCP throughput ceiling:
 //
 //     mathis = MSS / RTT * sqrt(3/2) / sqrt(loss)        [bytes/s]
 //
 // (Mathis, Semke, Mahdavi, Ott: "The Macroscopic Behavior of the TCP
-// Congestion Avoidance Algorithm", CCR 1997.) With zero loss or zero RTT
-// the ceiling is +inf and the link degrades to a plain fair-share
-// boundary pair — the golden-reference equivalence tests depend on that.
+// Congestion Avoidance Algorithm", CCR 1997.) The line rate is the
+// shared-medium sum constraint, carried by the endpoint capacities; the
+// Mathis ceiling binds each connection on its own, so it is a per-flow
+// rate cap: WanLink::start_crossing admits a flow at min(its own cap, every
+// crossed link's Mathis ceiling). Fabric byte streams cross the link with
+// weight 1 (one wire byte per byte); a share of weight w moves w wire bytes
+// per unit of flow, so the ceiling caps such a flow at mathis / w. With
+// zero loss or zero RTT the ceiling is +inf and the link is a plain pair of
+// resources — the golden-reference tests depend on that.
 //
 // A WanLinkConfig::schedule describes time-varying congestion: each phase
-// is posted as a simulation event at construction, and applying a phase
-// republishes both endpoint capacities through set_capacity(), which marks
-// the crossing components dirty so the settle's exchange re-folds every
-// boundary cap against the new factor/RTT before any simulated time
-// passes. Phases fire at fixed (time, sequence) slots in the event queue,
-// so determinism across solve-worker counts is untouched (DESIGN.md §7).
+// is posted as a simulation event at construction. Applying a phase (or
+// inject_phase) republishes both endpoint capacities through
+// set_capacity(), which marks the crossing components dirty, and re-caps
+// every in-flight crossing flow through Flow::set_max_rate against the new
+// RTT — all before any simulated time passes. Phases fire at fixed (time,
+// sequence) slots in the event queue, so determinism across solve-worker
+// counts is untouched (DESIGN.md §7).
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/fluid.h"
@@ -67,21 +65,18 @@ struct WanLinkConfig {
   std::vector<WanLinkPhase> schedule;
 };
 
-class WanLink final : public CapPolicy {
+class WanLink final {
  public:
-  /// Registers one endpoint resource in each scheduler (they must belong to
-  /// different FluidNet domains) and attaches itself as both endpoints'
-  /// CapPolicy. Schedule phases are posted on `sim` immediately.
-  WanLink(Simulation& sim, FluidScheduler& side_a, FluidScheduler& side_b, std::string name,
-          WanLinkConfig config = {});
-  ~WanLink() override;
+  /// Registers both endpoint resources in `domain`. Schedule phases are
+  /// posted on `sim` immediately.
+  WanLink(Simulation& sim, FluidScheduler& domain, std::string name, WanLinkConfig config = {});
   WanLink(const WanLink&) = delete;
   WanLink& operator=(const WanLink&) = delete;
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const WanLinkConfig& config() const { return config_; }
-  /// The two boundary resources. Cross-site flows take a share on each
-  /// (wire-rate units, weight 1 for plain byte streams).
+  /// The two endpoint resources. Cross-site flows take a weight-1 share on
+  /// each (the shared medium, in wire bytes).
   [[nodiscard]] FluidResource& a() { return a_; }
   [[nodiscard]] FluidResource& b() { return b_; }
 
@@ -112,14 +107,29 @@ class WanLink final : public CapPolicy {
   /// the injection to sit at a fixed (time, sequence) event-queue slot.
   void inject_phase(double capacity_factor, Duration rtt = Duration::zero());
 
-  // CapPolicy: fold the model into the fair-share offer the endpoint would
-  // publish. Called from the serial exchange phase only.
-  [[nodiscard]] double offer(const FluidResource& res, double weight, double fair_offer,
-                             TimePoint now) override;
+  /// Starts `spec` — which must already carry the endpoint shares of every
+  /// link in `links` (LogicError otherwise) — capped at min(spec.max_rate,
+  /// each link's Mathis ceiling / the spec's weight on it). Until the flow
+  /// finishes, a phase that changes any of these links' RTT re-caps it.
+  static FlowPtr start_crossing(FluidNet& net, FlowSpec spec, const std::vector<WanLink*>& links);
 
  private:
+  /// An in-flight flow admitted by start_crossing, shared by every link it
+  /// crosses.
+  struct Crossing {
+    std::weak_ptr<Flow> flow;
+    double base_cap = kUncappedRate;
+    /// Every crossed link, with the flow's weight on its endpoints.
+    std::vector<std::pair<WanLink*, double>> hops;
+    /// min(base_cap, every hop's current Mathis ceiling / weight).
+    [[nodiscard]] double cap() const;
+  };
+
   void apply_phase(std::size_t index);
   void apply(double capacity_factor, Duration rtt);
+  /// Adds `crossing`, first dropping finished crossings once the list has
+  /// doubled since the last prune (amortised O(1) per admission).
+  void track(const std::shared_ptr<Crossing>& crossing);
 
   Simulation* sim_;
   std::string name_;
@@ -131,6 +141,9 @@ class WanLink final : public CapPolicy {
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   FluidResource a_;
   FluidResource b_;
+  /// Admission order, so phases re-cap deterministically.
+  std::vector<std::shared_ptr<Crossing>> crossings_;
+  std::size_t prune_at_ = 64;
 };
 
 }  // namespace nm::sim

@@ -41,8 +41,7 @@ struct HotplugTiming {
 
 class Host {
  public:
-  /// `net` carries the host's guest-compute and shared-memory flows, which
-  /// span domains when hosts are carved into per-blade domains.
+  /// `net` carries the host's guest-compute and shared-memory flows.
   Host(sim::FluidNet& net, hw::Node& node, SharedStorage& storage, HotplugTiming timing = {},
        MigrationConfig migration = {});
   Host(const Host&) = delete;

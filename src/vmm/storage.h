@@ -19,8 +19,8 @@ namespace nm::vmm {
 class SharedStorage {
  public:
   /// The throughput resource registers into `home`, a domain of `net`;
-  /// `net` carries the IO flows, which also cross the client node's CPU —
-  /// that CPU may live in another domain (boundary flow).
+  /// `net` carries the IO flows, which also cross the client node's CPU, so
+  /// every client node must live in `home` too.
   SharedStorage(sim::FluidNet& net, sim::FluidScheduler& home, std::string name,
                 Bandwidth throughput = Bandwidth::mib_per_sec(300))
       : net_(&net),

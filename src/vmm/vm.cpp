@@ -66,9 +66,8 @@ void Vm::resume() {
 sim::Task Vm::compute(double core_seconds) {
   co_await run_gate_.opened();
   std::vector<sim::ResourceShare> shares{{&vcpu_, 1.0}, {&host_->node().cpu(), 1.0}};
-  // Routed through the host: after a migration the vCPU resource stays in
-  // its boot domain while the current host's cores may live in another, so
-  // guest work can be a boundary flow.
+  // Routed through the host's net: the vCPU resource stays where the VM
+  // booted, and the current host's cores share that domain.
   auto flow = host_->net().start(
       sim::FlowSpec{core_seconds, std::move(shares), /*max_rate=*/1.0, {}});
   track_flow(flow);

@@ -43,7 +43,8 @@ enum class VmState { kRunning, kPaused };
 class Vm {
  public:
   /// The vCPU allotment registers into `domain` (the boot host's domain)
-  /// and stays there for the VM's lifetime.
+  /// and stays there for the VM's lifetime, so the VM can only migrate
+  /// between hosts of that domain (a federation shares one across sites).
   Vm(sim::Simulation& sim, sim::FluidScheduler& domain, VmSpec spec, Host& host);
   Vm(const Vm&) = delete;
   Vm& operator=(const Vm&) = delete;

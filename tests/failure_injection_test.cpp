@@ -245,7 +245,6 @@ TEST(FailureInjection, WanPartitionMidMigrationStallsThenCompletesOnHeal) {
   EXPECT_FALSE(fed.site(0).eth_host(0).resident(*vm));
   // Finished only after the heal.
   EXPECT_GT(fed.sim().now().to_seconds(), (t0 + Duration::seconds(37.0)).to_seconds());
-  EXPECT_EQ(fed.unconverged_exchange_count(), 0u);
 }
 
 TEST(FailureInjection, WanRttSpikeDuringMigrationKeepsDowntimeBounded) {
@@ -294,7 +293,6 @@ TEST(FailureInjection, WanRttSpikeDuringMigrationKeepsDowntimeBounded) {
             fed.site(0).eth_host(0).migration_engine().config().max_downtime);
   EXPECT_TRUE(fed.find_host("b:eth0")->resident(*vm));
   EXPECT_FALSE(stats.in_progress);
-  EXPECT_EQ(fed.unconverged_exchange_count(), 0u);
 }
 
 // --- Mesh failures mid-evacuation -------------------------------------------
@@ -366,7 +364,6 @@ TEST(FailureInjection, MeshEdgePartitionMidEvacuationStallsWithoutDowntimeThenCo
     EXPECT_LE(vm.downtime, bound) << vm.vm;
     EXPECT_GE(vm.done_ns, t0.count_nanos()) << vm.vm;
   }
-  EXPECT_EQ(fed.unconverged_exchange_count(), 0u);
 }
 
 TEST(FailureInjection, PartitionedEdgeWithDetourReroutesEvacuationThroughThirdSite) {
@@ -400,7 +397,6 @@ TEST(FailureInjection, PartitionedEdgeWithDetourReroutesEvacuationThroughThirdSi
   for (const VmOutcome& vm : report.vms) {
     EXPECT_LE(vm.downtime, bound) << vm.vm;
   }
-  EXPECT_EQ(fed.unconverged_exchange_count(), 0u);
 }
 
 // --- Intra-site fabric failures mid-evacuation ------------------------------
@@ -461,7 +457,6 @@ TEST(FailureInjection, ClosUplinkCutMidEvacuationStallsWithoutDowntimeThenComple
     EXPECT_LE(vm.downtime, bound) << vm.vm;
   }
   EXPECT_FALSE(fed.site(0).clos()->has_dead_link());
-  EXPECT_EQ(fed.unconverged_exchange_count(), 0u);
 }
 
 TEST(FailureInjection, ClosSpineLinkCutWithEcmpAlternativeCompletesWithoutHeal) {
@@ -485,7 +480,6 @@ TEST(FailureInjection, ClosSpineLinkCutWithEcmpAlternativeCompletesWithoutHeal) 
   for (const VmOutcome& vm : report.vms) {
     EXPECT_LE(vm.downtime, bound) << vm.vm;
   }
-  EXPECT_EQ(fed.unconverged_exchange_count(), 0u);
 }
 
 TEST(FailureInjection, ClosDeadSourceLeafAtPlanTimeDefersThenDrainsAfterHeal) {
@@ -514,7 +508,6 @@ TEST(FailureInjection, ClosDeadSourceLeafAtPlanTimeDefersThenDrainsAfterHeal) {
   for (const VmOutcome& vm : report.vms) {
     EXPECT_LE(vm.downtime, bound) << vm.vm;
   }
-  EXPECT_EQ(fed.unconverged_exchange_count(), 0u);
 }
 
 }  // namespace

@@ -345,12 +345,15 @@ TEST(ClosTopology, IncastSharesLeafDownlinkFairly) {
   std::vector<AttachmentPtr> senders;
   std::vector<AttachmentPtr> receivers;
   for (int i = 0; i < 4; ++i) {
-    auto& sn = tb.add_node("s" + std::to_string(i));
-    auto& sp = tb.add_port(sn, "s" + std::to_string(i) + "-eth", Bandwidth::gbps(10));
+    // Lvalue index: the `const char* + string&&` overload trips a GCC 12
+    // -Wrestrict false positive under -O3 inlining.
+    const std::string idx = std::to_string(i);
+    auto& sn = tb.add_node("s" + idx);
+    auto& sp = tb.add_port(sn, "s" + idx + "-eth", Bandwidth::gbps(10));
     clos.assign_port(sp, i);
     senders.push_back(eth.attach(sp));
-    auto& rn = tb.add_node("r" + std::to_string(i));
-    auto& rp = tb.add_port(rn, "r" + std::to_string(i) + "-eth", Bandwidth::gbps(10));
+    auto& rn = tb.add_node("r" + idx);
+    auto& rp = tb.add_port(rn, "r" + idx + "-eth", Bandwidth::gbps(10));
     clos.assign_port(rp, 4);
     receivers.push_back(eth.attach(rp));
   }
@@ -394,12 +397,13 @@ TEST(ClosTopology, IncastMaxMinRedistributesAroundCappedFlow) {
   std::vector<AttachmentPtr> senders;
   std::vector<AttachmentPtr> receivers;
   for (int i = 0; i < 4; ++i) {
-    auto& sn = tb.add_node("s" + std::to_string(i));
-    auto& sp = tb.add_port(sn, "s" + std::to_string(i) + "-eth", Bandwidth::gbps(10));
+    const std::string idx = std::to_string(i);
+    auto& sn = tb.add_node("s" + idx);
+    auto& sp = tb.add_port(sn, "s" + idx + "-eth", Bandwidth::gbps(10));
     clos.assign_port(sp, i);
     senders.push_back(eth.attach(sp));
-    auto& rn = tb.add_node("r" + std::to_string(i));
-    auto& rp = tb.add_port(rn, "r" + std::to_string(i) + "-eth", Bandwidth::gbps(10));
+    auto& rn = tb.add_node("r" + idx);
+    auto& rp = tb.add_port(rn, "r" + idx + "-eth", Bandwidth::gbps(10));
     clos.assign_port(rp, 4);
     receivers.push_back(eth.attach(rp));
   }

@@ -1,6 +1,6 @@
 // Tests for the max-min fair fluid scheduler: single flows, contention,
-// per-flow caps, capacity changes, pause/resume, and conservation
-// properties under randomized loads.
+// per-flow caps, capacity changes, pause/resume, conservation properties
+// under randomized loads, and the one-domain-per-flow admission rule.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +10,7 @@
 #include "sim/fluid_net.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace nm::sim {
@@ -376,6 +377,54 @@ TEST_F(Fluid, ManySequentialFlowsKeepClockExact) {
   }(sim, net, nic, done_at));
   sim.run();
   EXPECT_NEAR(done_at, 1000.0, 1e-3);
+}
+
+// --- Domain ownership -------------------------------------------------------
+
+TEST(CrossDomain, ResourceOfAnotherNetRejected) {
+  // Two nets on one clock: each admits only resources its own domains own,
+  // whether the spec is local to the foreign domain or would bridge into it.
+  Simulation sim;
+  FluidNet net(sim, 0);
+  FluidNet other(sim, 0);
+  auto& a = net.add_domain("a");
+  auto& b = other.add_domain("b");
+  FluidResource ra(a, "ra", 10.0);
+  FluidResource rb(b, "rb", 1.0);
+  EXPECT_EQ(net.domain_of(ra), &a);
+  EXPECT_EQ(net.domain_of(rb), nullptr);
+  EXPECT_THROW((void)net.start(FlowSpec{.work = 1.0}.over(rb)), LogicError);
+  EXPECT_THROW((void)net.start(FlowSpec{.work = 1.0}.over(ra).over(rb)), LogicError);
+  EXPECT_EQ(a.active_flow_count(), 0u);
+  // The owning net still admits it.
+  auto flow = other.start(FlowSpec{.work = 1.0}.over(rb));
+  sim.run();
+  EXPECT_TRUE(flow->finished());
+}
+
+TEST(CrossDomain, SpecSpanningTwoDomainsOfOneNetRejected) {
+  // Domains only split topologies that share no flow: a spec bridging two
+  // domains of one net is refused whole, in either share order, and leaves
+  // both domains untouched.
+  Simulation sim;
+  FluidNet net(sim, 0);
+  auto& a = net.add_domain("a");
+  auto& b = net.add_domain("b");
+  FluidResource ra(a, "ra", 10.0);
+  FluidResource rb(b, "rb", 1.0);
+  EXPECT_THROW((void)net.start(FlowSpec{.work = 1.0}.over(ra).over(rb)), LogicError);
+  EXPECT_THROW((void)net.start(FlowSpec{.work = 1.0}.over(rb).over(ra)), LogicError);
+  EXPECT_EQ(a.active_flow_count(), 0u);
+  EXPECT_EQ(b.active_flow_count(), 0u);
+  EXPECT_EQ(ra.active_flows(), 0u);
+  EXPECT_EQ(rb.active_flows(), 0u);
+  // Each domain still admits flows over its own resources.
+  auto fa = net.start(FlowSpec{.work = 10.0}.over(ra));
+  auto fb = net.start(FlowSpec{.work = 1.0}.over(rb));
+  sim.run();
+  EXPECT_TRUE(fa->finished());
+  EXPECT_TRUE(fb->finished());
+  EXPECT_EQ(sim.now().count_nanos(), 1'000'000'000);
 }
 
 }  // namespace

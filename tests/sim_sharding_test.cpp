@@ -41,12 +41,10 @@ struct EpisodeTrace {
   bool hca_in_use = false;
 };
 
-EpisodeTrace run_fallback_recovery(int fluid_shards, int solve_workers = 0,
-                                   bool blade_domains = false) {
+EpisodeTrace run_fallback_recovery(int fluid_shards, int solve_workers = 0) {
   TestbedConfig tcfg;
   tcfg.fluid_shards = fluid_shards;
   tcfg.solve_workers = solve_workers;
-  tcfg.blade_domains = blade_domains;
   Testbed tb(tcfg);
   JobConfig cfg;
   cfg.vm_count = 2;
@@ -187,8 +185,8 @@ Zone build_zone(sim::FluidScheduler& sched, int z) {
     hw::NodeSpec spec;
     spec.name = "z" + std::to_string(z) + ":n" + std::to_string(n);
     auto& node = zone.cluster->add_node(sched, spec);
-    zone.ports.push_back(std::make_unique<net::NicPort>(
-        node, spec.name + ":eth", Bandwidth::gib_per_sec(10.0), sched));
+    zone.ports.push_back(
+        std::make_unique<net::NicPort>(node, spec.name + ":eth", Bandwidth::gib_per_sec(10.0)));
   }
   return zone;
 }
@@ -292,81 +290,13 @@ TEST(Sharding, TestbedExposesRequestedDomains) {
   Testbed tb(tcfg);
   sim::FluidNet& net = tb.net();
   EXPECT_EQ(net.domain_count(), 3u);
-  // The enclosure's shared resources (and, without blade_domains, the
-  // blades) all live on domain 0 — the routing façade agrees.
+  // The whole enclosure — shared resources and blades — lives on domain
+  // 0; the routing façade agrees.
   EXPECT_EQ(net.domain_of(tb.storage().throughput()), &net.domain(0));
   EXPECT_EQ(net.domain_of(tb.ib_host(0).node().cpu()), &net.domain(0));
   // Spare shards are real, independently usable schedulers on the same clock.
   EXPECT_EQ(&net.domain(1).simulation(), &tb.sim());
   EXPECT_NE(&net.domain(1), &net.domain(0));
-}
-
-// --- Boundary flows on the real topology -------------------------------------
-
-TEST(Sharding, BladeDomainEpisodeBitIdenticalAcrossWorkerCounts) {
-  // Carving every blade into its own domain turns each transfer (src tx on
-  // one blade domain, dst rx on another, NFS + vhost on the shared zone)
-  // into a boundary flow solved by the ghost-capacity exchange. The
-  // exchange runs serially between canonical-order compute rounds, so the
-  // whole episode must stay bit-identical at every worker count.
-  auto run_blades = [](int workers) {
-    return run_fallback_recovery(/*fluid_shards=*/1, workers, /*blade_domains=*/true);
-  };
-  const EpisodeTrace base = run_blades(0);
-  // The blade-domain run is a real episode in its own right.
-  ASSERT_EQ(base.iter_seconds.size(), 16u);
-  EXPECT_EQ(base.transport, "openib");
-  EXPECT_TRUE(base.back_on_ib);
-  EXPECT_TRUE(base.hca_in_use);
-  for (const int workers : {1, 2, 4}) {
-    const EpisodeTrace t = run_blades(workers);
-    expect_traces_identical(t, base, "blade-domains workers=" + std::to_string(workers));
-  }
-}
-
-TEST(Sharding, BladeDomainTestbedRegistersBoundaryFlows) {
-  TestbedConfig tcfg;
-  tcfg.blade_domains = true;
-  tcfg.ib_nodes = 2;
-  tcfg.eth_nodes = 0;
-  Testbed tb(tcfg);
-  // fluid_shards=1 zone domain + one domain per blade.
-  sim::FluidNet& net = tb.net();
-  EXPECT_EQ(net.domain_count(), 3u);
-  EXPECT_EQ(net.domain_of(tb.ib_host(0).node().cpu()), &net.domain(1));
-  EXPECT_EQ(net.domain_of(tb.ib_host(1).node().cpu()), &net.domain(2));
-  ASSERT_NE(net.pool(), nullptr);
-
-  auto vm0 = tb.boot_vm(tb.ib_host(0), [] {
-    vmm::VmSpec s;
-    s.name = "vm0";
-    s.memory = Bytes::gib(4);
-    return s;
-  }(), /*with_hca=*/false);
-  auto vm1 = tb.boot_vm(tb.ib_host(1), [] {
-    vmm::VmSpec s;
-    s.name = "vm1";
-    s.memory = Bytes::gib(4);
-    return s;
-  }(), /*with_hca=*/false);
-  tb.settle();
-
-  // An Ethernet transfer between the two blades crosses three domains; the
-  // net must register it as a boundary flow and still complete it.
-  bool done = false;
-  tb.sim().spawn([](Testbed& t, bool& flag) -> sim::Task {
-    auto src = t.ib_host(0).eth_attachment();
-    auto dst = t.ib_host(1).eth_attachment();
-    co_await t.eth_fabric().transfer(src, dst->address(), Bytes::mib(64));
-    flag = true;
-  }(tb, done));
-  tb.sim().run_for(Duration::seconds(0.001));
-  EXPECT_GT(tb.net().boundary_flow_count(), 0u);
-  tb.sim().run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(tb.net().boundary_flow_count(), 0u);
-  EXPECT_GT(tb.net().exchange_round_count(), 0u);
-  EXPECT_EQ(tb.net().unconverged_exchange_count(), 0u);
 }
 
 }  // namespace

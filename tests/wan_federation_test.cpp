@@ -1,21 +1,21 @@
 // WAN federation golden-reference layer. Three strata:
 //
 //  1. Model-free equivalence: a WanLink with zero latency and zero loss is
-//     a plain boundary-resource pair, so a two-site split crossed by WAN
-//     flows must produce the same max-min fair rates as the identical
-//     topology merged onto one scheduler (with the endpoints as ordinary
-//     resources) and as a brute-force global reference — within 1e-9,
+//     a plain pair of endpoint resources, so two sites crossed by WAN flows
+//     (started through WanLink::start_crossing) must produce the same
+//     max-min fair rates as the identical topology built from ordinary
+//     resources and as a brute-force global reference — within 1e-9,
 //     across ~200 random topologies and mutation schedules.
 //  2. Model semantics, hand-checkable: the Mathis ceiling binds per flow
 //     (it models per-connection TCP throughput; the line rate stays the
 //     shared-medium sum constraint), a factor-0 phase freezes crossing
-//     flows until a heal phase, and an RTT-only phase still re-folds the
-//     published caps (set_capacity marks the crossing components dirty
-//     even when the numeric capacity is unchanged).
+//     flows until a heal phase, and an RTT-only phase re-caps the flows in
+//     flight.
 //  3. Determinism: with a lossy, time-varying link active, finite-work
 //     timelines are bit-identical at every SolvePool worker count — and a
 //     full cross-site Federation migration completes at the same
-//     nanosecond for workers 0/1/2.
+//     nanosecond for workers 0/1/2, with the clock stopping at the last
+//     migration's end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,10 +89,7 @@ WanTopo random_wan_topo(std::mt19937& rng, bool finite_work, double cap_scale,
   const std::size_t f_count = 1 + rng() % 24;
   for (std::size_t f = 0; f < f_count; ++f) {
     // Up to two regular resources; a cross-site flow adds the endpoint
-    // pair, for four shares total — the span envelope the ghost exchange
-    // provably solves to the global max-min point (fluid_crossdomain_test
-    // pins spans up to 4; beyond that the Jacobi fold can settle on a
-    // stable fixed point that is not the max-min allocation).
+    // pair, for four shares total.
     const std::size_t span = 1 + rng() % std::min<std::size_t>(2, r_count);
     FlowDesc fd;
     while (fd.res.size() < span) {
@@ -110,8 +107,8 @@ WanTopo random_wan_topo(std::mt19937& rng, bool finite_work, double cap_scale,
   t.flows[0].res = {0, 1};
   t.flows[0].weight = {1.0, 1.0};
   // Cross-site flows take a share on each endpoint (one stream on the
-  // wire: same weight both sides, and weights != 1 exercise the policy's
-  // wire-rate -> flow-rate conversion).
+  // wire: same weight both sides, and weights != 1 exercise the Mathis
+  // cap's wire-rate -> flow-rate conversion).
   for (auto& fd : t.flows) {
     bool site[2] = {false, false};
     for (const std::size_t r : fd.res) {
@@ -128,7 +125,7 @@ WanTopo random_wan_topo(std::mt19937& rng, bool finite_work, double cap_scale,
   return t;
 }
 
-// The same topology on one scheduler, endpoints as plain resources.
+// The same topology from plain resources, endpoints included.
 struct MergedTopo {
   Simulation sim;
   FluidNet net{sim};
@@ -152,8 +149,9 @@ struct MergedTopo {
   }
 };
 
-// Two site domains coupled by a real WanLink; regular resource r lands at
-// site r % 2, and the endpoint shares route through wan.a()/wan.b().
+// Two sites joined by a real WanLink, all in one domain as a Federation
+// builds them; the endpoint shares route through wan.a()/wan.b(), and a
+// flow crossing them starts through WanLink::start_crossing.
 struct FederatedTopo {
   Simulation sim;
   FluidNet net;
@@ -162,30 +160,31 @@ struct FederatedTopo {
   std::vector<FlowPtr> flows;
 
   FederatedTopo(const WanTopo& t, int workers, WanLinkConfig cfg) : net(sim, workers) {
-    auto& da = net.add_domain("site-a");
-    auto& db = net.add_domain("site-b");
+    auto& dom = net.add_domain("federation");
     cfg.line_rate = Bandwidth::bytes_per_sec(t.line);
-    wan = std::make_unique<WanLink>(sim, da, db, "test", cfg);
+    wan = std::make_unique<WanLink>(sim, dom, "test", cfg);
     const std::size_t regular = t.capacity.size() - 2;
     for (std::size_t r = 0; r < regular; ++r) {
-      auto& dom = net.domain(r % 2);
       std::string name = "r";
       name += std::to_string(r);
       res.push_back(std::make_unique<FluidResource>(dom, std::move(name), t.capacity[r]));
     }
     for (const auto& fd : t.flows) {
       FlowSpec spec{fd.work, {}, fd.cap, {}};
+      bool crosses = false;
       for (std::size_t s = 0; s < fd.res.size(); ++s) {
         const std::size_t r = fd.res[s];
         if (r == t.wan_a) {
           spec.over(wan->a(), fd.weight[s]);
+          crosses = true;
         } else if (r == t.wan_b) {
           spec.over(wan->b(), fd.weight[s]);
         } else {
           spec.over(*res[r], fd.weight[s]);
         }
       }
-      flows.push_back(net.start(std::move(spec)));
+      flows.push_back(crosses ? WanLink::start_crossing(net, std::move(spec), {wan.get()})
+                              : net.start(std::move(spec)));
     }
   }
 };
@@ -229,7 +228,7 @@ void run_golden_equivalence(std::uint32_t seed) {
   // Zero RTT and zero loss: the Mathis ceiling is +inf and the factor
   // stays 1, so the policy's min() must be a no-op against the fair offer.
   FederatedTopo split(t, /*workers=*/0, WanLinkConfig{});
-  EXPECT_GT(split.net.boundary_flow_count(), 0u) << "seed=" << seed;
+  EXPECT_GT(split.wan->a().active_flows(), 0u) << "seed=" << seed;
   check_rates(merged, split, t, seed, /*step=*/-1);
 
   std::uniform_real_distribution<double> cap_dist(0.5, 200.0);
@@ -272,7 +271,6 @@ void run_golden_equivalence(std::uint32_t seed) {
     }
     check_rates(merged, split, t, seed, step);
   }
-  EXPECT_EQ(split.net.unconverged_exchange_count(), 0u) << "seed=" << seed;
 }
 
 TEST(WanGolden, ZeroImpairmentLinkMatchesMergedAndReference) {
@@ -285,12 +283,10 @@ TEST(WanGolden, ZeroImpairmentLinkMatchesMergedAndReference) {
 }
 
 // --- N-site golden equivalence ----------------------------------------------
-// Full-mesh N-site split: regular resource r lives at site r % N, and a
-// cross-site flow rides the direct WanLink between its two sites (a full
-// mesh keeps every cross flow single-hop, i.e. inside the 4-share
-// exchange envelope the boundary exchange provably solves). Zero
-// impairments, so the merged topology — endpoints as plain resources on
-// one scheduler — and the brute-force reference must agree within 1e-9.
+// Full-mesh N sites: regular resource r belongs to site r % N, and a
+// cross-site flow rides the direct WanLink between its two sites. Zero
+// impairments, so the same topology from plain resources and the
+// brute-force reference must agree within 1e-9.
 
 struct NSiteTopo {
   std::size_t n_sites = 3;
@@ -399,33 +395,33 @@ struct FederatedTopoN {
   std::vector<FlowPtr> flows;
 
   FederatedTopoN(const NSiteTopo& t, int workers) : net(sim, workers) {
-    for (std::size_t s = 0; s < t.n_sites; ++s) {
-      net.add_domain("site-" + std::to_string(s));
-    }
+    auto& dom = net.add_domain("federation");
     for (std::size_t p = 0; p < t.pairs.size(); ++p) {
-      WanLinkConfig cfg;  // zero impairments: plain boundary pair
+      WanLinkConfig cfg;  // zero impairments: a plain endpoint pair
       cfg.line_rate = Bandwidth::bytes_per_sec(t.line[p]);
-      wans.push_back(std::make_unique<WanLink>(sim, net.domain(t.pairs[p].first),
-                                               net.domain(t.pairs[p].second),
-                                               "w" + std::to_string(p), cfg));
+      wans.push_back(std::make_unique<WanLink>(sim, dom, "w" + std::to_string(p), cfg));
     }
     for (std::size_t r = 0; r < t.capacity.size(); ++r) {
-      res.push_back(std::make_unique<FluidResource>(net.domain(r % t.n_sites),
-                                                    "r" + std::to_string(r), t.capacity[r]));
+      res.push_back(std::make_unique<FluidResource>(dom, "r" + std::to_string(r), t.capacity[r]));
     }
     for (const auto& fd : t.flows) {
       FlowSpec spec{fd.work, {}, fd.cap, {}};
+      std::vector<WanLink*> links;
       for (std::size_t s = 0; s < fd.res.size(); ++s) {
         const std::size_t r = fd.res[s];
         if (r >= t.capacity.size()) {
           const std::size_t p = (r - t.capacity.size()) / 2;
-          spec.over((r - t.capacity.size()) % 2 == 0 ? wans[p]->a() : wans[p]->b(),
-                    fd.weight[s]);
+          const bool side_a = (r - t.capacity.size()) % 2 == 0;
+          spec.over(side_a ? wans[p]->a() : wans[p]->b(), fd.weight[s]);
+          if (side_a) {
+            links.push_back(wans[p].get());
+          }
         } else {
           spec.over(*res[r], fd.weight[s]);
         }
       }
-      flows.push_back(net.start(std::move(spec)));
+      flows.push_back(links.empty() ? net.start(std::move(spec))
+                                    : WanLink::start_crossing(net, std::move(spec), links));
     }
   }
 };
@@ -459,7 +455,7 @@ void run_nsite_golden(std::uint32_t seed, std::size_t n_sites) {
   const NSiteTopo t = random_nsite_topo(rng, n_sites);
   MergedTopoN merged(t);
   FederatedTopoN split(t, /*workers=*/0);
-  EXPECT_GT(split.net.boundary_flow_count(), 0u) << "sites=" << n_sites << " seed=" << seed;
+  EXPECT_GT(split.wans[0]->a().active_flows(), 0u) << "sites=" << n_sites << " seed=" << seed;
   check_nsite_rates(merged, split, t, seed, /*step=*/-1);
 
   std::uniform_real_distribution<double> cap_dist(0.5, 200.0);
@@ -499,8 +495,6 @@ void run_nsite_golden(std::uint32_t seed, std::size_t n_sites) {
     }
     check_nsite_rates(merged, split, t, seed, step);
   }
-  EXPECT_EQ(split.net.unconverged_exchange_count(), 0u)
-      << "sites=" << n_sites << " seed=" << seed;
 }
 
 TEST(WanGolden, NSiteFullMeshMatchesMergedAndReference) {
@@ -526,37 +520,43 @@ WanLinkConfig tiny_mathis_link() {
   return cfg;
 }
 
+/// Starts a flow of `work` over both endpoints of `wan` at weight `w`.
+FlowPtr cross(FluidNet& net, WanLink& wan, double work, double w = 1.0) {
+  return WanLink::start_crossing(net, FlowSpec{.work = work}.over(wan.a(), w).over(wan.b(), w),
+                                 {&wan});
+}
+
 TEST(WanModel, MathisCeilingBindsPerConnection) {
   Simulation sim;
   FluidNet net(sim, 0);
-  auto& a = net.add_domain("a");
-  auto& b = net.add_domain("b");
-  WanLink wan(sim, a, b, "w", tiny_mathis_link());
+  WanLink wan(sim, net.add_domain("d"), "w", tiny_mathis_link());
   EXPECT_NEAR(wan.mathis_rate(), 20.0, 1e-9);
   EXPECT_NEAR(wan.effective_rate(), 20.0, 1e-9);
 
-  auto one = net.start(FlowSpec{.work = 1e15}.over(wan.a()).over(wan.b()));
+  auto one = cross(net, wan, 1e15);
   // Mathis models a single TCP connection: the fair share of the 1000 B/s
-  // line would be the whole line, but the published cap folds to 20.
+  // line would be the whole line, but the flow is capped at 20.
+  EXPECT_NEAR(one->max_rate(), 20.0, 1e-9);
   EXPECT_NEAR(one->current_rate(), 20.0, 1e-9);
 
   // A second connection gets its own Mathis ceiling — the line rate, not
   // the ceiling, is the shared-medium sum constraint (2 * 20 << 1000).
-  auto two = net.start(FlowSpec{.work = 1e15}.over(wan.a()).over(wan.b()));
+  auto two = cross(net, wan, 1e15);
   EXPECT_NEAR(one->current_rate(), 20.0, 1e-9);
   EXPECT_NEAR(two->current_rate(), 20.0, 1e-9);
-  EXPECT_EQ(net.unconverged_exchange_count(), 0u);
+  // A flow that does not cross the link cannot be admitted as crossing it.
+  FluidResource other(net.domain(0), "other", 1.0);
+  EXPECT_THROW((void)WanLink::start_crossing(net, FlowSpec{.work = 1.0}.over(other), {&wan}),
+               LogicError);
 }
 
 TEST(WanModel, WeightedFlowConvertsWireRateToFlowRate) {
   Simulation sim;
   FluidNet net(sim, 0);
-  auto& a = net.add_domain("a");
-  auto& b = net.add_domain("b");
-  WanLink wan(sim, a, b, "w", tiny_mathis_link());
+  WanLink wan(sim, net.add_domain("d"), "w", tiny_mathis_link());
   // Weight 2 on the wire: each flow unit costs 2 wire bytes, so the flow
   // rate ceiling is mathis / 2 = 10.
-  auto flow = net.start(FlowSpec{.work = 1e15}.over(wan.a(), 2.0).over(wan.b(), 2.0));
+  auto flow = cross(net, wan, 1e15, 2.0);
   EXPECT_NEAR(flow->current_rate(), 10.0, 1e-9);
 }
 
@@ -568,19 +568,17 @@ Task watch(FlowPtr flow, Simulation& sim, std::int64_t& out) {
 TEST(WanModel, PartitionFreezesCrossingFlowsUntilHeal) {
   Simulation sim;
   FluidNet net(sim, 0);
-  auto& a = net.add_domain("a");
-  auto& b = net.add_domain("b");
   WanLinkConfig cfg;
   cfg.line_rate = Bandwidth::bytes_per_sec(10.0);
   std::vector<WanLinkPhase> schedule;
   schedule.push_back({.at = Duration::seconds(2.0), .capacity_factor = 0.0});
   schedule.push_back({.at = Duration::seconds(5.0), .capacity_factor = 1.0});
   cfg.schedule = std::move(schedule);
-  WanLink wan(sim, a, b, "w", cfg);
+  WanLink wan(sim, net.add_domain("d"), "w", cfg);
 
   // 30 units at 10/s: 20 delivered by the cut at t=2, frozen for 3 s,
   // the last 10 delivered over t=5..6 — done at exactly t=6.
-  auto flow = net.start(FlowSpec{.work = 30.0}.over(wan.a()).over(wan.b()));
+  auto flow = cross(net, wan, 30.0);
   std::int64_t done = -1;
   sim.spawn(watch(flow, sim, done));
   sim.run_for(Duration::seconds(3.0));
@@ -589,26 +587,28 @@ TEST(WanModel, PartitionFreezesCrossingFlowsUntilHeal) {
   sim.run();
   EXPECT_TRUE(flow->finished());
   EXPECT_EQ(done, 6'000'000'000);
-  EXPECT_EQ(net.unconverged_exchange_count(), 0u);
 }
 
-TEST(WanModel, RttOnlyPhaseRefoldsPublishedCaps) {
+TEST(WanModel, RttOnlyPhaseRecapsInFlightFlows) {
   Simulation sim;
   FluidNet net(sim, 0);
-  auto& a = net.add_domain("a");
-  auto& b = net.add_domain("b");
   WanLinkConfig cfg = tiny_mathis_link();
   // Same capacity factor, doubled RTT: the numeric endpoint capacity does
-  // not change, but the Mathis ceiling halves — the phase must still mark
-  // the crossing components dirty and re-fold.
+  // not change, but the Mathis ceiling halves — the phase must re-cap the
+  // flows already in flight, not just new admissions.
   cfg.schedule.push_back({.at = Duration::seconds(2.0), .capacity_factor = 1.0,
                           .rtt = Duration::seconds(2.0)});
-  WanLink wan(sim, a, b, "w", cfg);
-  auto flow = net.start(FlowSpec{.work = 1e15}.over(wan.a()).over(wan.b()));
+  WanLink wan(sim, net.add_domain("d"), "w", cfg);
+  auto flow = cross(net, wan, 1e15);
   EXPECT_NEAR(flow->current_rate(), 20.0, 1e-9);
   sim.run_for(Duration::seconds(3.0));
   EXPECT_NEAR(wan.current_rtt().to_seconds(), 2.0, 1e-12);
+  EXPECT_NEAR(flow->max_rate(), 10.0, 1e-9);
   EXPECT_NEAR(flow->current_rate(), 10.0, 1e-9);
+  // An injected RTT change re-caps it again, from task context.
+  sim.post(Duration::zero(), [&wan] { wan.inject_phase(1.0, Duration::seconds(0.5)); });
+  sim.run_for(Duration::seconds(1.0));
+  EXPECT_NEAR(flow->current_rate(), 40.0, 1e-9);
 }
 
 // --- Timeline bit-identity with a lossy, time-varying link ------------------
@@ -643,9 +643,6 @@ Timeline run_wan_timeline(const WanTopo& t, int workers) {
     split.sim.spawn(watch(split.flows[f], split.sim, tl.done_ns[f]));
   }
   tl.final_ns = split.sim.run().count_nanos();
-  EXPECT_EQ(split.net.boundary_flow_count(), 0u);
-  EXPECT_EQ(split.net.unconverged_exchange_count(), 0u);
-  EXPECT_LT(split.net.max_exchange_rounds_per_settle(), 256u);
   return tl;
 }
 
@@ -719,23 +716,24 @@ FederatedRun run_cross_site_migration(int solve_workers) {
   EXPECT_FALSE(src.resident(*vm)) << "workers=" << solve_workers;
   EXPECT_EQ(&vm->host(), dst) << "workers=" << solve_workers;
   EXPECT_GT(out.done_ns, 0) << "workers=" << solve_workers;
-  EXPECT_EQ(fed.unconverged_exchange_count(), 0u) << "workers=" << solve_workers;
-  EXPECT_GT(fed.exchange_round_count(), 0u) << "workers=" << solve_workers;
-  EXPECT_LT(fed.max_exchange_rounds_per_settle(), 256u) << "workers=" << solve_workers;
   return out;
 }
 
-TEST(WanFederation, HostsResolveAcrossSitesAndDomainsAreDistinct) {
+TEST(WanFederation, HostsResolveAcrossSitesAndShareOneDomain) {
   Federation fed(small_federation(0));
   EXPECT_EQ(fed.find_host("a:eth0"), &fed.site(0).eth_host(0));
   EXPECT_EQ(fed.find_host("b:eth1"), &fed.site(1).eth_host(1));
   EXPECT_EQ(fed.find_host("c:eth0"), nullptr);
-  // The WAN endpoints live one per site zone, in different domains.
-  sim::FluidScheduler* da = fed.net().domain_of(fed.wan_link(0).a());
-  sim::FluidScheduler* db = fed.net().domain_of(fed.wan_link(0).b());
-  ASSERT_NE(da, nullptr);
-  ASSERT_NE(db, nullptr);
-  EXPECT_NE(da, db);
+  // Every site, the WAN endpoints and the geo store live in one domain, so
+  // a cross-site transfer is an ordinary flow.
+  sim::FluidNet& net = fed.net();
+  EXPECT_EQ(net.domain_count(), 1u);
+  sim::FluidScheduler* dom = net.domain_of(fed.wan_link(0).a());
+  ASSERT_NE(dom, nullptr);
+  EXPECT_EQ(net.domain_of(fed.wan_link(0).b()), dom);
+  EXPECT_EQ(net.domain_of(fed.storage().throughput()), dom);
+  EXPECT_EQ(net.domain_of(fed.site(0).eth_host(0).node().cpu()), dom);
+  EXPECT_EQ(net.domain_of(fed.site(1).eth_host(1).node().cpu()), dom);
   // Both sites' resolvers reach both sites through the federation.
   EXPECT_EQ(fed.resolver()("a:eth1"), &fed.site(0).eth_host(1));
   EXPECT_EQ(fed.resolver()("b:eth0"), &fed.site(1).eth_host(0));
@@ -764,6 +762,42 @@ TEST(WanFederation, CrossSiteMigrationLandsAtSameInstantForEveryWorkerCount) {
     EXPECT_EQ(got.final_ns, base.final_ns) << "workers=" << workers;
     EXPECT_EQ(got.downtime.count_nanos(), base.downtime.count_nanos())
         << "workers=" << workers;
+  }
+}
+
+// Running a federation to quiescence stops the clock at the last
+// migration's end: no completion timer outlives the flows (a never-ending
+// cross-domain ghost flow once left one clamped ~4e18 ns out).
+TEST(WanFederation, TwoSiteEvacuationRunsToQuiescenceAtLastMigrationEnd) {
+  for (const int workers : {0, 2}) {
+    Federation fed(small_federation(workers));
+    std::vector<std::shared_ptr<vmm::Vm>> vms;
+    for (int i = 0; i < 2; ++i) {
+      vmm::VmSpec spec;
+      spec.name = "vm" + std::to_string(i);
+      spec.memory = Bytes::gib(1);
+      spec.base_os_footprint = Bytes::mib(128);
+      vms.push_back(fed.site(0).boot_vm(fed.site(0).eth_host(i), spec, /*with_hca=*/false));
+      vms.back()->memory().write_data(Bytes::mib(128), Bytes::mib(64));
+    }
+    fed.settle();
+
+    std::vector<vmm::MigrationStats> stats(vms.size());
+    std::vector<std::int64_t> done_ns(vms.size(), -1);
+    for (std::size_t i = 0; i < vms.size(); ++i) {
+      vmm::Host& src = fed.site(0).eth_host(static_cast<int>(i));
+      fed.sim().spawn(migrate_and_stamp(fed.sim(), src, *vms[i],
+                                        fed.site(1).eth_host(static_cast<int>(i)), stats[i],
+                                        done_ns[i]));
+    }
+    const std::int64_t final_ns = fed.sim().run().count_nanos();
+    for (std::size_t i = 0; i < vms.size(); ++i) {
+      EXPECT_TRUE(fed.site(1).eth_host(static_cast<int>(i)).resident(*vms[i]))
+          << "workers=" << workers << " vm=" << i;
+    }
+    const std::int64_t last_end = *std::max_element(done_ns.begin(), done_ns.end());
+    EXPECT_GT(last_end, 0) << "workers=" << workers;
+    EXPECT_EQ(final_ns, last_end) << "workers=" << workers;
   }
 }
 
