@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <iterator>
 #include <sstream>
 #include <utility>
@@ -88,7 +87,7 @@ void Flow::set_max_rate(double max_rate) {
   max_rate_ = max_rate;
   if (scheduler_ != nullptr && !finished_) {
     if (auto* comp = scheduler_->component_of_flow(*this)) {
-      scheduler_->mark_dirty(*comp);
+      scheduler_->mark_recapped(*comp);
     }
   }
 }
@@ -102,7 +101,7 @@ void Flow::suspend() {
   max_rate_ = 0.0;
   if (scheduler_ != nullptr) {
     if (auto* comp = scheduler_->component_of_flow(*this)) {
-      scheduler_->mark_dirty(*comp);
+      scheduler_->mark_recapped(*comp);
     }
   }
 }
@@ -115,7 +114,7 @@ void Flow::resume() {
   max_rate_ = saved_max_rate_;
   if (scheduler_ != nullptr && !finished_) {
     if (auto* comp = scheduler_->component_of_flow(*this)) {
-      scheduler_->mark_dirty(*comp);
+      scheduler_->mark_recapped(*comp);
     }
   }
 }
@@ -179,6 +178,33 @@ void FluidScheduler::unregister_resource(FluidResource& res) {
 }
 
 std::size_t FluidScheduler::component_count() const { return live_comp_count_; }
+
+bool FluidScheduler::cap_before(const Flow* a, const Flow* b) {
+  return a->max_rate_ != b->max_rate_ ? a->max_rate_ < b->max_rate_ : a->seq_ < b->seq_;
+}
+
+std::string FluidScheduler::audit_cap_orders() const {
+  std::vector<Flow*> want;
+  for (const auto& comp : comps_) {
+    if (comp == nullptr || comp->cap_order_stale) {
+      continue;
+    }
+    want.clear();
+    for (Flow* f : comp->flows) {
+      if (std::isfinite(f->max_rate_)) {
+        want.push_back(f);
+      }
+    }
+    std::sort(want.begin(), want.end(), cap_before);
+    if (comp->cap_order != want) {
+      std::ostringstream os;
+      os << "cap order of component " << comp->id << " holds " << comp->cap_order.size()
+         << " flows; want its " << want.size() << " finite-cap flows in (cap, seq) order";
+      return os.str();
+    }
+  }
+  return {};
+}
 
 // --- FluidScheduler: flow admission ----------------------------------------
 
@@ -247,6 +273,13 @@ FlowPtr FluidScheduler::start(FlowSpec spec) {
   flow->comp_ = target->id;
   flow->comp_index_ = static_cast<std::uint32_t>(target->flows.size());
   target->flows.push_back(flow.get());
+  if (std::isfinite(flow->max_rate_) && !target->cap_order_stale) {
+    // The newest flow sorts after every equal cap: upper_bound on the cap.
+    auto& order = target->cap_order;
+    order.insert(std::upper_bound(order.begin(), order.end(), flow->max_rate_,
+                                  [](double cap, const Flow* f) { return cap < f->max_rate_; }),
+                 flow.get());
+  }
   mark_dirty(*target);
   return flow;
 }
@@ -290,11 +323,13 @@ void FluidScheduler::merge_into(Component& dst, Component& src) {
     slot_comp_[slot] = dst.id;
     dst.res_slots.push_back(slot);
   }
+  dst.cap_order_stale = true;
   if (src.dirty) {
     mark_dirty(dst);
   }
+  sim_->cancel(src.timer);
   const auto id = src.id;
-  comps_[id].reset();  // outstanding timers die on the null check
+  comps_[id].reset();
   free_comp_ids_.push_back(id);
   --live_comp_count_;
 }
@@ -309,6 +344,11 @@ void FluidScheduler::mark_dirty(Component& comp) {
   // every mutation made at this instant into one solve. The pool batches
   // the marks of all its domains into one (parallel) settle.
   pool_->notify_dirty(*this);
+}
+
+void FluidScheduler::mark_recapped(Component& comp) {
+  comp.cap_order_stale = true;
+  mark_dirty(comp);
 }
 
 void FluidScheduler::settle_pending() {
@@ -358,12 +398,12 @@ void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, S
     scratch.res_binding.resize(nslots);
   }
   // Pass 1 (fused): integrate progress at the rates valid since the last
-  // solve, collect completions, compact the flow list, and gather the dense
-  // filling inputs (caps, residual work, heap seeds) for the survivors in
-  // one walk. The elapsed window is hoisted: every member with a nonzero
-  // rate was last integrated at comp.last_solved (the solve that assigned
-  // the rate, or integrate_component on a merge/retire), and flows admitted
-  // since then carry rate 0, so one uniform `rate * el` per flow is exact.
+  // solve, collect completions and compact the flow list in one walk, which
+  // also re-gathers a stale cap order from the survivors. The elapsed
+  // window is hoisted: every member with a nonzero rate was last integrated
+  // at comp.last_solved (the solve that assigned the rate, or
+  // integrate_component on a merge/retire), and flows admitted since then
+  // carry rate 0, so one uniform `rate * el` per flow is exact.
   // A flow is done when its residual work cannot be represented on the
   // nanosecond clock (less than half a tick at the current rate) — this
   // avoids endless zero-delay reschedules.
@@ -375,30 +415,43 @@ void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, S
   if (scratch.f_frozen.size() < cf.size()) {
     scratch.f_frozen.resize(cf.size());
   }
-  scratch.cap_heap.clear();
+  auto& order = comp.cap_order;
+  const bool resort = comp.cap_order_stale;
+  if (resort) {
+    order.clear();
+  }
+  bool capped_finished = false;
   std::size_t out_idx = 0;  // stable compaction: completions fire in start order
   for (std::size_t i = 0; i < cf.size(); ++i) {
     Flow* f = cf[i];
     f->remaining_ -= f->rate_ * el;
     f->last_update_ = now;
     const double sub_tick = f->rate_ * 0.5e-9;
+    const bool capped = std::isfinite(f->max_rate_);
     if (f->remaining_ <= std::max(kEpsilon, sub_tick)) {
       // `flows_` is read-only during the compute phase (the swap-remove
       // happens in commit), so taking the strong ref here is safe even when
       // other components of this scheduler are computing concurrently.
       out.finished.push_back(flows_[f->global_index_]);
       finish_flow_local(*f);
+      capped_finished |= capped;
       continue;
     }
     cf[out_idx] = f;
     f->comp_index_ = static_cast<std::uint32_t>(out_idx);
-    const double cap = f->max_rate_;
-    if (std::isfinite(cap)) {
-      scratch.cap_heap.emplace_back(cap, static_cast<std::uint32_t>(out_idx));
+    if (resort && capped) {
+      order.push_back(f);
     }
     ++out_idx;
   }
   cf.resize(out_idx);
+  if (resort) {
+    std::sort(order.begin(), order.end(), cap_before);
+    comp.cap_order_stale = false;
+  } else if (capped_finished) {
+    // The kept order stays sorted; only this solve's completions leave it.
+    std::erase_if(order, [](const Flow* f) { return f->finished_; });
+  }
   std::fill_n(scratch.f_frozen.begin(), cf.size(), std::uint8_t{0});
   for (const auto slot : comp.res_slots) {
     FluidResource* res = res_slots_[slot];
@@ -427,9 +480,6 @@ void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, S
     return;
   }
 
-  // (cap, admission index) min-heap: the partial sort. Pair comparison
-  // breaks cap ties by admission index.
-  std::make_heap(scratch.cap_heap.begin(), scratch.cap_heap.end(), std::greater<>{});
   scratch.r_live.clear();
   for (std::uint32_t j = 0; j < comp.res_slots.size(); ++j) {
     if (scratch.res_unfrozen[comp.res_slots[j]] > 0) {
@@ -451,15 +501,16 @@ void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, S
 
 double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
   // Water-level filling over the dense arrays: each round takes the
-  // tightest constraint (a resource's equal-share or the heap-top cap),
-  // freezing tied capped flows straight off the cap heap and every flow
-  // crossing a binding resource through an admission-order flow scan.
-  // Across a whole solve each flow is batched exactly once and each heap
-  // entry pops once.
+  // tightest constraint (a resource's equal-share or the lowest unfrozen
+  // cap), freezing tied capped flows straight off the sorted cap order and
+  // every flow crossing a binding resource through an admission-order flow
+  // scan. Across a whole solve each flow is batched exactly once and the
+  // cap cursor passes each capped flow once.
   auto& cf = comp.flows;
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const auto heap_cmp = std::greater<>{};
-  auto& heap = scratch.cap_heap;
+  const auto& order = comp.cap_order;
+  const std::size_t ncapped = order.size();
+  std::size_t cursor = 0;  // order[cursor..] holds every unfrozen capped flow
   double next = kInf;
   std::uint32_t left = static_cast<std::uint32_t>(cf.size());
   while (left > 0) {
@@ -482,18 +533,17 @@ double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
       }
     }
     live.resize(lw);
-    // Lazy deletion: drop already-frozen flows off the cap heap.
-    while (!heap.empty() && scratch.f_frozen[heap.front().second] != 0) {
-      std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-      heap.pop_back();
+    // Step over capped flows that binding resources froze in earlier rounds.
+    while (cursor < ncapped && scratch.f_frozen[order[cursor]->comp_index_] != 0) {
+      ++cursor;
     }
-    const double cap_min = heap.empty() ? kInf : heap.front().first;
+    const double cap_min = cursor < ncapped ? order[cursor]->max_rate_ : kInf;
     NM_CHECK(std::isfinite(std::min(bound_r, cap_min)),
              "unbounded fluid rate (flow with no finite constraint) in "
                  << describe_component(comp));
 
     const double bound = std::min(bound_r, cap_min);
-    if (heap.empty() && live.size() == 1) {
+    if (cursor == ncapped && live.size() == 1) {
       // Fast round: a single live resource and no unfrozen capped flows. A
       // live flow keeps every resource it crosses live, so each unfrozen
       // flow has exactly one share, on this resource — the whole remainder
@@ -528,19 +578,19 @@ double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
     }
     auto& batch = scratch.freeze_batch;
     batch.clear();
-    // Tied caps (the tiny-flow fast path) come straight off the heap: one
-    // pop per capped flow across the whole solve, no scan over the rest.
-    while (!heap.empty()) {
-      const auto [cap, idx] = heap.front();
+    // Tied caps (the tiny-flow fast path) come straight off the cap order:
+    // the cursor passes each capped flow once across the whole solve, no
+    // scan over the rest.
+    for (; cursor < ncapped; ++cursor) {
+      const Flow* f = order[cursor];
+      const std::uint32_t idx = f->comp_index_;
       if (scratch.f_frozen[idx] == 0) {
-        if (cap > bound * (1.0 + 1e-12)) {
+        if (f->max_rate_ > bound * (1.0 + 1e-12)) {
           break;
         }
         scratch.f_frozen[idx] = 1;
         batch.push_back(idx);
       }
-      std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-      heap.pop_back();
     }
     // Resources whose equal-share sits at the level freeze every unfrozen
     // flow they carry. A cap and a resource can tie within the same round
@@ -709,7 +759,7 @@ void FluidScheduler::commit_component(Component& comp, SolveResult& out) {
     arm_timer(comp, out.next_completion_s);
   } else {
     // Dissolve: a later flow on these resources starts a fresh component.
-    // Outstanding timers die on the null/generation check.
+    sim_->cancel(comp.timer);
     for (const auto slot : comp.res_slots) {
       slot_comp_[slot] = kNone;
     }
@@ -751,7 +801,10 @@ void FluidScheduler::retire_flow_global(Flow& flow) {
 }
 
 void FluidScheduler::arm_timer(Component& comp, double next_completion_s) {
-  comp.gen = ++next_gen_;
+  // The previous timer is superseded: cancelled, it neither runs nor moves
+  // the clock (it may already have fired, which is what cancel ignores).
+  sim_->cancel(comp.timer);
+  comp.timer = PostHandle{};
   if (!std::isfinite(next_completion_s)) {
     return;  // nothing is progressing; a future mutation will re-arm
   }
@@ -762,18 +815,15 @@ void FluidScheduler::arm_timer(Component& comp, double next_completion_s) {
   constexpr double kMaxDelayNs = 4.0e18;  // ~127 sim-years, safely below int64 max
   const double ns = std::ceil(std::max(next_completion_s, 0.0) * 1e9);
   const auto delay_ns = static_cast<std::int64_t>(std::min(ns, kMaxDelayNs));
-  const std::uint64_t key = (static_cast<std::uint64_t>(comp.id) << 32) | comp.gen;
-  sim_->post(Duration::nanos(std::max<std::int64_t>(delay_ns, 1)),
-             [this, key] { on_timer(key); });
+  comp.timer = sim_->post(Duration::nanos(std::max<std::int64_t>(delay_ns, 1)),
+                          [this, id = comp.id] { on_timer(id); });
 }
 
-void FluidScheduler::on_timer(std::uint64_t key) {
-  const auto id = static_cast<std::uint32_t>(key >> 32);
-  const auto gen = static_cast<std::uint32_t>(key);
-  auto* comp = id < comps_.size() ? comps_[id].get() : nullptr;
-  if (comp == nullptr || comp->gen != gen) {
-    return;  // superseded by a later solve, merge, or rebuild
-  }
+void FluidScheduler::on_timer(std::uint32_t comp_id) {
+  // Every path that supersedes a timer (re-arm, merge, dissolve, rebuild)
+  // cancels it, so the component that armed this one is still live.
+  auto* comp = comp_id < comps_.size() ? comps_[comp_id].get() : nullptr;
+  NM_CHECK(comp != nullptr, "completion timer outlived component " << comp_id);
   // Mark instead of solving inline, so every timer firing at this instant
   // lands in the one end-of-instant settle (which also drives
   // maybe_rebuild afterwards).
@@ -801,6 +851,7 @@ void FluidScheduler::rebuild_components() {
   for (auto& comp : comps_) {
     if (comp != nullptr) {
       integrate_component(*comp);
+      sim_->cancel(comp->timer);
     }
   }
   comps_.clear();
@@ -868,6 +919,7 @@ void FluidScheduler::rebuild_components() {
     }
     arm_timer(*comp, next);
     comp->dirty = false;
+    comp->cap_order_stale = true;
   }
   retired_since_rebuild_ = 0;
 }

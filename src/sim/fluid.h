@@ -274,6 +274,13 @@ class FluidScheduler {
   /// Number of connected flow/resource components currently tracked.
   [[nodiscard]] std::size_t component_count() const;
 
+  /// Test audit of the solver's per-component cap order: empty when each
+  /// component holds exactly its unfinished finite-cap flows in (cap,
+  /// admission seq) order, else a description of the first violation. A
+  /// component awaiting its re-sort is exempt (its next solve rebuilds the
+  /// order from its flow list).
+  [[nodiscard]] std::string audit_cap_orders() const;
+
  private:
   friend class Flow;
   friend class FluidResource;
@@ -292,13 +299,24 @@ class FluidScheduler {
   FlowPtr start(FlowSpec spec);
 
   /// A connected component of the flow/resource bipartite graph: the unit
-  /// of incremental re-solving. `gen` invalidates its outstanding
-  /// next-completion timer; it changes on every solve/merge/rebuild.
+  /// of incremental re-solving. `timer` is its one pending next-completion
+  /// timer; re-arming, merging it away, dissolving it and an epoch rebuild
+  /// cancel it, so a superseded timer never runs.
   struct Component {
     std::uint32_t id = kNone;
-    std::uint32_t gen = 0;
     bool dirty = false;
+    /// `cap_order` must be rebuilt (one sort) by the next solve: set by a
+    /// merge, an epoch rebuild and a cap change (set_max_rate, suspend,
+    /// resume).
+    bool cap_order_stale = false;
     std::vector<Flow*> flows;
+    /// The unfinished flows with a finite cap, sorted by (max_rate_, seq_)
+    /// and kept across solves: admission inserts at the flow's cap (it
+    /// carries the largest seq), a solve drops the flows it finishes, and
+    /// only a stale order is re-sorted. The key is a strict total order
+    /// matching (cap, local flow index), so water_fill consumes caps in the
+    /// one deterministic order.
+    std::vector<Flow*> cap_order;
     std::vector<std::uint32_t> res_slots;
     /// Instant the component was last solved or integrated to. Every member
     /// flow with a nonzero rate shares it as `last_update_` (flows admitted
@@ -306,6 +324,7 @@ class FluidScheduler {
     /// one uniform elapsed window instead of differencing per flow.
     /// merge_into integrates both sides first to keep the invariant.
     TimePoint last_solved;
+    PostHandle timer;
   };
 
   /// Scratch for the pure compute phase of a solve, owned per SolvePool
@@ -327,10 +346,6 @@ class FluidScheduler {
     /// Local indices of resources that still carry unfrozen flows,
     /// compacted as rounds freeze them out.
     std::vector<std::uint32_t> r_live;
-    /// Min-heap of (rate cap, local flow index): the "partial sort" —
-    /// only the next cap band is ever in order, frozen entries are dropped
-    /// lazily at pop. The pair compare breaks cap ties by admission index.
-    std::vector<std::pair<double, std::uint32_t>> cap_heap;
     /// Flows freezing in the current round, restored to admission order
     /// before their subtractive updates run.
     std::vector<std::uint32_t> freeze_batch;
@@ -355,10 +370,15 @@ class FluidScheduler {
     return id == kNone ? nullptr : comps_[id].get();
   }
 
+  /// The cap order's key, (max_rate_, seq_): a strict total order.
+  static bool cap_before(const Flow* a, const Flow* b);
+
   Component& make_component();
   /// Merges `src` into `dst` (flows, resources, dirtiness) and retires it.
   void merge_into(Component& dst, Component& src);
   void mark_dirty(Component& comp);
+  /// A member flow's cap was set: re-sort the cap order at the next solve.
+  void mark_recapped(Component& comp);
   /// Runs the pool's settle now when any domain of the net is dirty (the
   /// remaining()/current_rate() entry point).
   void settle_pending();
@@ -372,9 +392,10 @@ class FluidScheduler {
   /// reported through `out` for commit_component.
   void compute_component(Component& comp, SolveScratch& scratch, SolveResult& out);
   /// Water-level filling over the dense arrays prepared by
-  /// compute_component: alternates cap-band rounds (heap pops) and
-  /// binding-resource rounds (transpose-list freezes). Returns the earliest
-  /// time-to-completion in seconds (+inf if nothing progresses).
+  /// compute_component: alternates cap-band rounds (a cursor walking the
+  /// component's sorted cap_order) and binding-resource rounds
+  /// (admission-order flow scans). Returns the earliest time-to-completion
+  /// in seconds (+inf if nothing progresses).
   double water_fill(Component& comp, SolveScratch& scratch);
   /// Multi-line diagnostic dump of a component's resources (capacity,
   /// active flow counts) and flows (demand, caps, shares)
@@ -390,7 +411,7 @@ class FluidScheduler {
   /// Advances progress/consumption at current rates; no completions.
   void integrate_component(Component& comp);
   void arm_timer(Component& comp, double next_completion_s);
-  void on_timer(std::uint64_t key);
+  void on_timer(std::uint32_t comp_id);
 
   /// Flow-retire bookkeeping; components over-approximate connectivity
   /// until enough flows have retired, then are recomputed from scratch
@@ -429,7 +450,6 @@ class FluidScheduler {
   bool pool_dirty_ = false;        // this scheduler has unsettled components
 
   std::size_t retired_since_rebuild_ = 0;
-  std::uint32_t next_gen_ = 0;
   std::uint64_t next_flow_seq_ = 0;
 };
 

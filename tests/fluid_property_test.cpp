@@ -7,6 +7,9 @@
 // The same harness cross-checks the O(1) rate-tracked consumption read:
 // every resource's consumed() must match a brute-force integral of
 // (reference rate × weight) over every constant-rate window within 1e-9.
+// After every admission and mutation, and again once it has settled, each
+// component's solver cap order must hold exactly its finite-cap flows in
+// (cap, admission seq) order (FluidScheduler::audit_cap_orders).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -174,8 +177,10 @@ void run_one_topology(std::uint32_t seed) {
     const double cap = unit(rng) < 0.4 ? flow_cap_dist(rng) : kUncappedRate;
     // Work far beyond what the mutation window can drain: no completions.
     topo.flows.push_back(topo.net.start(FlowSpec{1e15, std::move(shares), cap, {}}));
+    EXPECT_EQ(topo.sched.audit_cap_orders(), "") << "seed=" << seed << " admission=" << f;
   }
   check_against_reference(topo, seed, /*step=*/-1);
+  EXPECT_EQ(topo.sched.audit_cap_orders(), "") << "seed=" << seed << " settled";
 
   const int steps = static_cast<int>(rng() % 7);
   for (int step = 0; step < steps; ++step) {
@@ -203,7 +208,10 @@ void run_one_topology(std::uint32_t seed) {
         topo.resources[rng() % r_count]->set_capacity(cap_dist(rng));
         break;
     }
+    EXPECT_EQ(topo.sched.audit_cap_orders(), "") << "seed=" << seed << " step=" << step;
     check_against_reference(topo, seed, step);
+    EXPECT_EQ(topo.sched.audit_cap_orders(), "") << "seed=" << seed << " step=" << step
+                                                 << " settled";
   }
 }
 

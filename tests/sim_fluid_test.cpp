@@ -379,6 +379,90 @@ TEST_F(Fluid, ManySequentialFlowsKeepClockExact) {
   EXPECT_NEAR(done_at, 1000.0, 1e-3);
 }
 
+TEST_F(Fluid, KvShapedCpuTiesCapsThroughEveryCapOrderMutation) {
+  // The shape of a KV server's component: 8 vCPU worker flows capped at 1
+  // core on an 8-core CPU, plus virtio transfers charging 1.9e-9
+  // core-s/byte to the same CPU. The CPU holds 8 cores plus exactly the two
+  // transfers' 1-byte/s charge, so once both transfers run, its water level
+  // (1.0) ties the vCPU caps inside the 1e-12 band and caps and CPU freeze
+  // in one mixed round. The exact rates are pinned through admission,
+  // merge, epoch rebuild, suspend/resume and set_max_rate, and the solver's
+  // cap order is audited at every step.
+  constexpr double kVirtio = 1.9e-9;
+  FluidResource cpu(sched, "cpu", 8.0 + 2 * kVirtio);
+  FluidResource tx(sched, "tx", 1.25e9);
+  FluidResource rx(sched, "rx", 1.25e9);
+  FluidResource disk(sched, "disk", 1e6);
+  std::vector<FlowPtr> vcpu;
+  for (int i = 0; i < 8; ++i) {
+    vcpu.push_back(net.start(FlowSpec{.work = 1e12, .max_rate = 1.0}.over(cpu)));
+  }
+  auto a = net.start(FlowSpec{.work = 1e12, .max_rate = 525e6}.over(tx).over(cpu, kVirtio));
+  auto bg = net.start(FlowSpec{.work = 1e12, .max_rate = 2e8}.over(rx));
+  const auto rates = [&] {
+    std::vector<double> r;
+    for (const auto& f : vcpu) {
+      r.push_back(f->current_rate());
+    }
+    r.push_back(a->current_rate());
+    r.push_back(bg->current_rate());
+    return r;
+  };
+  const auto step = [&](Duration d) {
+    EXPECT_EQ(sched.audit_cap_orders(), "");
+    sim.run_for(d);
+    EXPECT_EQ(sched.audit_cap_orders(), "");
+  };
+  // Admission: the caps bind first (CPU level above 1), then the transfer
+  // takes the CPU's 2 spare byte/s.
+  EXPECT_EQ(sched.component_count(), 2u);
+  step(Duration::millis(1));
+  EXPECT_EQ(rates(), (std::vector<double>{1, 1, 1, 1, 1, 1, 1, 1, 2, 2e8}));
+
+  // Merge: transfer b bridges rx's component into the CPU's. The CPU level
+  // is now exactly 1, tied with the vCPU caps.
+  auto b = net.start(FlowSpec{.work = 2e-3}.over(rx).over(cpu, kVirtio));
+  EXPECT_EQ(sched.component_count(), 1u);
+  step(Duration::nanos(1));
+  EXPECT_EQ(rates(), (std::vector<double>{1, 1, 1, 1, 1, 1, 1, 1, 1, 2e8}));
+  EXPECT_EQ(b->current_rate(), 1.0);
+
+  // Epoch rebuild: b retires (after 2 ms at 1 byte/s), then 70 short disk
+  // flows; their retirement rebuilds the partition, and rx's flow splits
+  // off again.
+  step(Duration::millis(10));
+  EXPECT_TRUE(b->finished());
+  EXPECT_EQ(sched.component_count(), 1u);
+  std::vector<FlowPtr> shorts;
+  for (int i = 0; i < 70; ++i) {
+    shorts.push_back(net.start(FlowSpec{.work = 1.0}.over(disk)));
+  }
+  step(Duration::millis(1));
+  EXPECT_TRUE(shorts.back()->finished());
+  EXPECT_EQ(sched.component_count(), 2u);
+  cpu.set_capacity(cpu.capacity());  // solve the rebuilt (re-sorted) order
+  step(Duration::nanos(1));
+  EXPECT_EQ(rates(), (std::vector<double>{1, 1, 1, 1, 1, 1, 1, 1, 2, 2e8}));
+
+  // Suspend two vCPUs: the transfer climbs to its own cap. Then resume.
+  vcpu[2]->suspend();
+  vcpu[5]->suspend();
+  step(Duration::nanos(1));
+  EXPECT_EQ(rates(), (std::vector<double>{1, 1, 0, 1, 1, 0, 1, 1, 525e6, 2e8}));
+  vcpu[2]->resume();
+  vcpu[5]->resume();
+  step(Duration::nanos(1));
+  EXPECT_EQ(rates(), (std::vector<double>{1, 1, 1, 1, 1, 1, 1, 1, 2, 2e8}));
+
+  // set_max_rate: halve one vCPU's cap and uncap another, which then shares
+  // the CPU level with the transfer.
+  vcpu[0]->set_max_rate(0.5);
+  vcpu[7]->set_max_rate(kUncappedRate);
+  step(Duration::nanos(1));
+  EXPECT_EQ(rates(), (std::vector<double>{0.5, 1, 1, 1, 1, 1, 1, 1.5000000009500001,
+                                          1.5000000009500001, 2e8}));
+}
+
 // --- Domain ownership -------------------------------------------------------
 
 TEST(CrossDomain, ResourceOfAnotherNetRejected) {

@@ -3,11 +3,13 @@
 // allocation-free inline-callback event path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -503,6 +505,129 @@ TEST(Simulation, DestructionWithSuspendedTasksIsClean) {
   sim->run_for(Duration::seconds(1.0));
   EXPECT_EQ(sim->live_task_count(), 1u);
   sim.reset();  // no crash, no leak
+}
+
+// --- Cancellation ------------------------------------------------------------
+
+TEST(Cancel, CancelledEntryNeitherRunsNorMovesTheClock) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.post(Duration::millis(1), [&] { order.push_back(1); });
+  const PostHandle late = sim.post(Duration::millis(5), [&] { order.push_back(5); });
+  EXPECT_EQ(sim.pending_event_count(), 2u);
+  EXPECT_TRUE(sim.cancel(late));
+  EXPECT_FALSE(sim.cancel(late));  // already a tombstone
+  EXPECT_EQ(sim.pending_event_count(), 1u);
+  EXPECT_EQ(sim.run(), TimePoint::origin() + Duration::millis(1));
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sim.pending_event_count(), 0u);
+  EXPECT_FALSE(sim.cancel(PostHandle{}));  // names nothing
+}
+
+TEST(Cancel, ParkedEntryIsCancelledAndItsCaptureReleased) {
+  Simulation sim;
+  auto owned = std::make_shared<int>(7);
+  sim.post(Duration::millis(1), [] {});  // anchor: lets the far post park
+  const PostHandle far = sim.post(Duration::minutes(10.0), [o = owned] { (void)o; });
+  EXPECT_EQ(owned.use_count(), 2);
+  EXPECT_TRUE(sim.cancel(far));
+  EXPECT_EQ(owned.use_count(), 1);  // destroyed at cancel, not at pop
+  EXPECT_EQ(sim.run(), TimePoint::origin() + Duration::millis(1));
+}
+
+TEST(Cancel, OldHandleNeverCancelsTheEntryThatReusedItsSlot) {
+  Simulation sim;
+  int fired = 0;
+  const PostHandle first = sim.post(Duration::millis(1), [&] { ++fired; });
+  sim.run();
+  EXPECT_FALSE(sim.cancel(first));  // already ran
+  // The next post recycles the freed callback slot.
+  sim.post(Duration::millis(1), [&] { fired += 10; });
+  EXPECT_FALSE(sim.cancel(first));
+  sim.run();
+  EXPECT_EQ(fired, 11);
+  // A tombstone's slot is recycled too once the kernel drops it.
+  const PostHandle dead = sim.post(Duration::millis(1), [&] { fired += 100; });
+  EXPECT_TRUE(sim.cancel(dead));
+  sim.run();
+  sim.post(Duration::millis(1), [&] { fired += 1000; });
+  EXPECT_FALSE(sim.cancel(dead));
+  sim.run();
+  EXPECT_EQ(fired, 1011);
+}
+
+TEST(Cancel, SameInstantPeersKeepPostOrderAroundATombstone) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.post(Duration::millis(2), [&] { order.push_back(0); });
+  const PostHandle gone = sim.post(Duration::millis(2), [&] { order.push_back(1); });
+  sim.post(Duration::millis(2), [&] { order.push_back(2); });
+  sim.post(Duration::millis(1), [&] { EXPECT_TRUE(sim.cancel(gone)); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
+}
+
+TEST(Cancel, SweepsKeepLiveEntriesInTimeAndPostOrder) {
+  // Cancel most of a population spread over the heap, every wheel level
+  // and the overflow list, so tombstone sweeps run several times; the
+  // survivors still fire in (time, post) order and the clock ends at the
+  // last of them.
+  Simulation sim;
+  std::mt19937 rng(7);
+  constexpr int kPosts = 4000;
+  std::vector<std::pair<std::int64_t, int>> expected;  // (at ns, post index)
+  std::vector<std::pair<std::int64_t, int>> fired;
+  std::vector<PostHandle> handles;
+  std::vector<std::int64_t> at_ns;
+  sim.post(Duration::nanos(1), [] {});  // anchor: lets far posts park
+  for (int i = 0; i < kPosts; ++i) {
+    // Exponent spread: 1 ns .. ~10 h, with repeated instants for ties.
+    const std::int64_t ns = std::int64_t{1} << (rng() % 46);
+    at_ns.push_back(ns);
+    handles.push_back(sim.post(Duration::nanos(ns), [&fired, &sim, i] {
+      fired.emplace_back(sim.now().count_nanos(), i);
+    }));
+  }
+  for (int i = 0; i < kPosts; ++i) {
+    if (rng() % 10 < 7) {
+      EXPECT_TRUE(sim.cancel(handles[i]));
+    } else {
+      expected.emplace_back(at_ns[i], i);
+    }
+  }
+  EXPECT_EQ(sim.pending_event_count(), expected.size() + 1);
+  std::sort(expected.begin(), expected.end());  // ties by post index, like seq
+  const TimePoint end = sim.run();
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(end.count_nanos(), expected.back().first);
+  EXPECT_EQ(sim.pending_event_count(), 0u);
+}
+
+TEST(Cancel, RearmedFarTimerIsAllocationFreeOnceWarm) {
+  // The completion-timer pattern: every step cancels the pending far
+  // timer and arms a new one. Sweeps keep the tombstone population
+  // bounded, so once warm the loop allocates nothing. (The 5 s the loop
+  // spans keeps every deadline in one level-2 wheel bucket, which the
+  // warm-up grows.)
+  Simulation sim;
+  PostHandle timer;
+  const auto rearm = [&] {
+    sim.cancel(timer);
+    timer = sim.post(Duration::seconds(3600.0), [] {});
+    sim.post(Duration::millis(1), [] {});
+    sim.run_until(sim.now() + Duration::millis(1));
+  };
+  for (int i = 0; i < 1024; ++i) {
+    rearm();
+  }
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  for (int i = 0; i < 4096; ++i) {
+    rearm();
+  }
+  g_count_allocs.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0);
+  EXPECT_EQ(sim.pending_event_count(), 1u);
 }
 
 // --- Inline-callback event path ---------------------------------------------

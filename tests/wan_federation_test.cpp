@@ -652,10 +652,18 @@ TEST(WanTimeline, BitIdenticalAcrossWorkerCountsWithLossyTimeVaryingLink) {
     const WanTopo t =
         random_wan_topo(rng, /*finite_work=*/true, /*cap_scale=*/1e6, /*work_scale=*/2e5);
     const Timeline base = run_wan_timeline(t, /*workers=*/0);
+    // The run ends at its last real event: the last completion or the
+    // link's last phase (900 ms), never at a superseded completion timer.
+    const std::int64_t last_event = std::max(
+        *std::max_element(base.done_ns.begin(), base.done_ns.end()), std::int64_t{900'000'000});
+    EXPECT_EQ(base.final_ns, last_event) << "seed=" << seed << " workers=0";
     for (const int workers : {1, 2, 4}) {
       const Timeline got = run_wan_timeline(t, workers);
       EXPECT_EQ(got.final_ns, base.final_ns) << "seed=" << seed << " workers=" << workers;
       EXPECT_EQ(got.done_ns, base.done_ns) << "seed=" << seed << " workers=" << workers;
+      if (workers == 2) {
+        EXPECT_EQ(got.final_ns, last_event) << "seed=" << seed << " workers=2";
+      }
     }
     if (::testing::Test::HasFailure()) {
       break;
